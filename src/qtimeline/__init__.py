@@ -18,7 +18,6 @@ from .hilbert import (
     embed,
     identity,
     inner,
-    project_outcome,
     propagator,
     tensor,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "joint",
     "marginal",
     "outcome_labels_at",
-    "project_outcome",
     "propagator",
     "sequential_born",
     "state_at",

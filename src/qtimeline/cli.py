@@ -177,6 +177,9 @@ def _cmd_wigner(args) -> int:
     t = args.t if args.t is not None else scenario.t_n + 1.0
     try:
         result = tables(scenario, t)
+    except DomainError as err:  # a NaN clock reading
+        print(f"invalid parameters: {err}", file=sys.stderr)
+        return 2
     except ConditioningOnNullEvent as err:
         print(f"conditional tables undefined at these parameters: {err}", file=sys.stderr)
         return 1

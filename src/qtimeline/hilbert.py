@@ -290,22 +290,3 @@ def inner(a: StateVector, b: StateVector) -> complex:
         raise LayoutError("inner product requires identical layouts")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
-
-def project_outcome(state: StateVector, subsystem: str, basis_vector: StateVector) -> StateVector:
-    """Contract one labeled factor of ``state`` against ``basis_vector``.
-
-    Applies the partial bra of ``basis_vector`` on the named factor and the
-    identity elsewhere; the result lives on the layout with that factor
-    removed, and its squared norm is the outcome weight.
-    """
-    ax = state.layout.axis(subsystem)
-    if len(basis_vector.layout.factors) != 1:
-        raise LayoutError("basis vector must live on a single factor")
-    if basis_vector.layout.dim != state.layout.dim_of(subsystem):
-        raise LayoutError(
-            f"basis vector dimension {basis_vector.layout.dim} does not match "
-            f"factor {subsystem!r} of dimension {state.layout.dim_of(subsystem)}"
-        )
-    tens = state.as_tensor()
-    contracted = np.tensordot(basis_vector.amplitudes.conj(), tens, axes=([0], [ax]))
-    return StateVector(state.layout.drop(subsystem), contracted.reshape(-1))

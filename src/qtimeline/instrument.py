@@ -142,18 +142,21 @@ class DetectorModel:
     def ancilla_layout(self) -> SubsystemLayout:
         return SubsystemLayout.of((self.detector_label, self.ancilla_dim))
 
-    def record_state(self, label: str) -> StateVector:
-        """Ancilla basis vector for an outcome label or the ready label."""
+    def record_index(self, label: str) -> int:
+        """Ancilla basis index of an outcome label or the ready label."""
         if label == self.ready_label:
-            return basis_state(self.ancilla_layout, self.ready_index)
+            return self.ready_index
         try:
-            index = self.outcome_basis[label]
+            return self.outcome_basis[label]
         except KeyError:
             raise KeyError(
                 f"detector {self.detector_label!r} has no outcome {label!r}; "
                 f"have {self.kraus.outcome_labels} and ready label {self.ready_label!r}"
             ) from None
-        return basis_state(self.ancilla_layout, index)
+
+    def record_state(self, label: str) -> StateVector:
+        """Ancilla basis vector for an outcome label or the ready label."""
+        return basis_state(self.ancilla_layout, self.record_index(label))
 
     def ready_state(self) -> StateVector:
         return basis_state(self.ancilla_layout, self.ready_index)

@@ -1,11 +1,13 @@
 """Outcome probabilities over history states at a fixed clock reading.
 
-Every probability here is "at clock reading t": the joint weight of an
-outcome assignment is the squared norm left after projecting each named
-detector's record state out of the conditioned state, marginals simply skip
-the unnamed detectors, and conditionals are Bayes quotients of the two.
-Absolute probabilities marginalized over the clock are deliberately not
-offered.
+Every probability here is "at clock reading t".  The Hamiltonian acts on the
+system factors only, so the weight of a detector-record configuration is the
+same anywhere in a segment: the segment anchor's |amplitude|^2 summed over the
+system axes.  That record-weight tensor, with one axis per detector in
+schedule order, is the single primitive.  A joint probability reads one entry,
+a marginal sums over the unnamed detectors, and a conditional is the Bayes
+quotient of two such sums.  Absolute probabilities marginalized over the clock
+are deliberately not offered.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .hilbert import DomainError, StateVector, project_outcome
-from .timeline import HistoryState, state_at
+import numpy as np
+
+from .hilbert import DomainError
+from .timeline import HistoryState
 
 # Below this weight an event is treated as null and conditioning on it fails
 # loudly instead of dividing.
@@ -72,24 +76,33 @@ class ProbabilityTable:
         return dict(self.rows)
 
 
-def _resolve_assignments(history: HistoryState, assignments: Mapping[str, str]):
-    """Pair each named detector with its record vector, in schedule order."""
+def _record_weights(history: HistoryState, t: float) -> np.ndarray:
+    """Record-weight tensor of the segment covering ``t``: one axis per detector."""
+    anchor = history.segment_at(t).anchor_state
+    system_axes = tuple(range(len(history.h_system.layout.factors)))
+    return (np.abs(anchor.as_tensor()) ** 2).sum(axis=system_axes)
+
+
+def _weight(history: HistoryState, weights: np.ndarray, assignments: Mapping[str, str]) -> float:
+    """Total weight of the records matching ``assignments``; unnamed detectors are summed."""
     known = set(history.schedule.detector_labels)
     unknown = set(assignments) - known
     if unknown:
         raise KeyError(f"unknown detectors {sorted(unknown)}; schedule has {sorted(known)}")
-    resolved = []
+    index = []
     for _, det in history.schedule.events:
-        if det.detector_label in assignments:
-            label = assignments[det.detector_label]
-            resolved.append((det.detector_label, det.record_state(label)))
-    return resolved
+        label = assignments.get(det.detector_label)
+        index.append(slice(None) if label is None else det.record_index(label))
+    return float(weights[tuple(index)].sum())
 
 
-def _weight(state: StateVector, resolved) -> float:
-    for detector_label, record in resolved:
-        state = project_outcome(state, detector_label, record)
-    return float(state.norm**2)
+def _nonnull(weight: float, given: Mapping[str, str], t: float) -> float:
+    """The weight of a conditioning assignment, refused when it is (numerically) null."""
+    if weight < NULL_EVENT_TOL:
+        raise ConditioningOnNullEvent(
+            f"conditioning assignment {dict(given)} has probability {weight:.3e} at t={t}"
+        )
+    return weight
 
 
 def joint(history: HistoryState, query: OutcomeQuery) -> float:
@@ -97,16 +110,14 @@ def joint(history: HistoryState, query: OutcomeQuery) -> float:
     missing = set(history.schedule.detector_labels) - set(query.assignments)
     if missing:
         raise KeyError(f"joint requires a full assignment; missing {sorted(missing)}")
-    resolved = _resolve_assignments(history, query.assignments)
-    return _weight(state_at(history, query.t), resolved)
+    return _weight(history, _record_weights(history, query.t), query.assignments)
 
 
 def marginal(history: HistoryState, query: OutcomeQuery) -> float:
     """Probability of a partial assignment, summing implicitly over the rest."""
     if not query.assignments:
         raise KeyError("marginal requires at least one named detector")
-    resolved = _resolve_assignments(history, query.assignments)
-    return _weight(state_at(history, query.t), resolved)
+    return _weight(history, _record_weights(history, query.t), query.assignments)
 
 
 def conditional(
@@ -119,14 +130,9 @@ def conditional(
     overlap = set(target) & set(given)
     if overlap:
         raise ValueError(f"target and given must name disjoint detectors; both name {sorted(overlap)}")
-    state = state_at(history, t)
-    denominator = _weight(state, _resolve_assignments(history, given))
-    if denominator < NULL_EVENT_TOL:
-        raise ConditioningOnNullEvent(
-            f"conditioning assignment {dict(given)} has probability {denominator:.3e} at t={t}"
-        )
-    numerator = _weight(state, _resolve_assignments(history, {**target, **given}))
-    return numerator / denominator
+    weights = _record_weights(history, t)
+    denominator = _nonnull(_weight(history, weights, given), given, t)
+    return _weight(history, weights, {**target, **given}) / denominator
 
 
 def outcome_labels_at(history: HistoryState, t: float) -> dict[str, tuple[str, ...]]:
@@ -146,15 +152,14 @@ def full_table(history: HistoryState, t: float) -> ProbabilityTable:
     Detectors whose event lies in the future report their ready label, which
     carries all of their weight, so the rows always sum to one.
     """
+    weights = _record_weights(history, t)
     labels = outcome_labels_at(history, t)
-    detectors = history.schedule.detector_labels
-    state = state_at(history, t)
-    rows = []
-    for combo in itertools.product(*(labels[d] for d in detectors)):
-        assignment = dict(zip(detectors, combo))
-        weight = _weight(state, _resolve_assignments(history, assignment))
-        rows.append((combo, weight))
-    return ProbabilityTable(detectors, tuple(rows), t)
+    indices = [
+        [det.record_index(label) for label in labels[det.detector_label]] for _, det in history.schedule.events
+    ]
+    block = weights[np.ix_(*indices)].reshape(-1)
+    rows = tuple((combo, float(value)) for combo, value in zip(itertools.product(*labels.values()), block))
+    return ProbabilityTable(history.schedule.detector_labels, rows, t)
 
 
 def clamp_probability(value: float) -> float:

@@ -29,6 +29,7 @@ validated on load; failures name the offending key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,13 +72,31 @@ class Scenario:
     queries: tuple[Query, ...]
 
 
+def _real(value, key: str) -> float:
+    """A JSON number other than NaN; +-inf (which ``json.loads`` accepts) passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(key, "expected a number")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ScenarioError(key, "number is too large") from None
+    if math.isnan(x):
+        raise ScenarioError(key, "expected a number, got NaN")
+    return x
+
+
+def _finite(value, key: str) -> float:
+    x = _real(value, key)
+    if math.isinf(x):
+        raise ScenarioError(key, f"expected a finite number, got {x}")
+    return x
+
+
 def _complex_scalar(value, key: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ScenarioError(key, "complex entries must be [re, im] pairs")
-    re, im = value
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
-        raise ScenarioError(key, "complex entries must be [re, im] pairs of numbers")
-    return complex(float(re), float(im))
+    re, im = (_finite(x, key) for x in value)
+    return complex(re, im)
 
 
 def _complex_vector(values, key: str) -> np.ndarray:
@@ -118,9 +137,10 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
         raise ScenarioError("system.factors", "expected a non-empty list of [label, dim] pairs")
     pairs = []
     for i, item in enumerate(factors):
-        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
-            raise ScenarioError(f"system.factors[{i}]", "expected a [label, dim] pair")
-        pairs.append((item[0], int(item[1])))
+        pair = isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
+        if not (pair and type(item[1]) is int and item[1] >= 1):  # bool is an int subclass
+            raise ScenarioError(f"system.factors[{i}]", "expected a [label, dim] pair, dim an integer >= 1")
+        pairs.append((item[0], item[1]))
     try:
         layout = SubsystemLayout(tuple(pairs))
     except LayoutError as err:
@@ -150,15 +170,11 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
         raise ScenarioError("system.hamiltonian", "matrix is not Hermitian (tolerance 1e-10)")
 
     t0 = data.get("t0")
-    if t0 is not None and not isinstance(t0, (int, float)):
-        raise ScenarioError("system.t0", "expected a number")
-    return psi0, h_system, None if t0 is None else float(t0)
+    return psi0, h_system, None if t0 is None else _finite(t0, "system.t0")
 
 
 def _parse_event(data, layouts_by_label: dict[str, SubsystemLayout], key: str):
-    time = _require(data, "time", key)
-    if not isinstance(time, (int, float)):
-        raise ScenarioError(f"{key}.time", "expected a number")
+    time = _finite(_require(data, "time", key), f"{key}.time")
     name = _require(data, "detector", key)
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"{key}.detector", "expected a non-empty string")
@@ -214,14 +230,11 @@ def _parse_event(data, layouts_by_label: dict[str, SubsystemLayout], key: str):
         detector = DetectorModel(name, kraus, ready_label=ready_label)
     except (ValueError, LayoutError) as err:
         raise ScenarioError(key, str(err)) from None
-    return float(time), detector
+    return time, detector
 
 
 def _parse_query(data, schedule: EventSchedule, key: str) -> Query:
-    t = _require(data, "t", key)
-    if not isinstance(t, (int, float)):
-        raise ScenarioError(f"{key}.t", "expected a number")
-    t = float(t)
+    t = _real(_require(data, "t", key), f"{key}.t")
 
     modes = [m for m in ("assignment", "target", "full_table") if m in data]
     if data.get("full_table"):
@@ -354,7 +367,7 @@ def dump_scenario(scenario: Scenario) -> str:
 
 def parse_query_string(text: str, schedule: EventSchedule) -> Query:
     """Parse compact query syntax: 'F=up,W=yes@t=3.0', 'F=up|W=yes@t=3.0',
-    or 'full-table@t=3.0'."""
+    or 'full-table@t=3.0'.  The result is validated as the equivalent JSON query."""
     key = f"query {text!r}"
     if "@" not in text:
         raise ScenarioError(key, "missing '@t=<time>' suffix")
@@ -377,20 +390,14 @@ def parse_query_string(text: str, schedule: EventSchedule) -> Query:
 
     body = body.strip()
     if body in ("full-table", "full", "table"):
-        return Query(t, "table")
-    if "|" in body:
+        data = {"t": t, "full_table": True}
+    elif "|" in body:
         target_part, _, given_part = body.partition("|")
-        query = Query(
-            t,
-            "conditional",
-            target=parse_pairs(target_part, "target"),
-            given=parse_pairs(given_part, "given"),
-        )
-        _check_names(query.target, schedule, key)
-        _check_names(query.given, schedule, key)
-        if set(query.target) & set(query.given):
-            raise ScenarioError(key, "target and given must name disjoint detectors")
-        return query
-    query = Query(t, "assignment", assignment=parse_pairs(body, "assignment"))
-    _check_names(query.assignment, schedule, key)
-    return query
+        data = {
+            "t": t,
+            "target": parse_pairs(target_part, "target"),
+            "given": parse_pairs(given_part, "given"),
+        }
+    else:
+        data = {"t": t, "assignment": parse_pairs(body, "assignment")}
+    return _parse_query(data, schedule, key)

@@ -22,14 +22,14 @@ from .hilbert import (
     StateVector,
     SubsystemLayout,
     apply_on,
-    embed,
+    propagator,
     tensor,
 )
 from .instrument import DetectorModel, apply_instrument
 
 
 class ScheduleError(ValueError):
-    """Event times are not strictly increasing or t0 is not before them."""
+    """Event times are not finite and strictly increasing, or t0 is not before them."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +42,8 @@ class EventSchedule:
         entries = tuple((float(t), det) for t, det in self.events)
         object.__setattr__(self, "events", entries)
         times = [t for t, _ in entries]
+        if not all(math.isfinite(t) for t in times):
+            raise ScheduleError(f"event times must be finite, got {times}")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ScheduleError(f"event times must be strictly increasing, got {times}")
 
@@ -96,15 +98,11 @@ class HistoryState:
     def __post_init__(self) -> None:
         if len(self.segments) != len(self.schedule) + 1:
             raise DomainError("segment count must be event count + 1")
-        w, v = np.linalg.eigh(self.h_system.matrix)
-        object.__setattr__(self, "_eigvals", w)
-        object.__setattr__(self, "_eigvecs", v)
-
-    def system_propagator(self, dt: float) -> Operator:
-        phases = np.exp(-1j * self._eigvals * dt)
-        return Operator(self.h_system.layout, (self._eigvecs * phases) @ self._eigvecs.conj().T)
 
     def segment_at(self, t: float) -> Segment:
+        # bisect would place NaN after every event time.
+        if math.isnan(t):
+            raise DomainError("clock reading t is NaN")
         index = bisect.bisect_right(self.schedule.times, t)
         return self.segments[index]
 
@@ -144,12 +142,9 @@ def build_history(
     first_end = times[0] if times else math.inf
     segments = [Segment(-math.inf, first_end, t0, state)]
 
-    w, v = np.linalg.eigh(h_system.matrix)
     for k, (t_k, det) in enumerate(schedule.events):
         prev = segments[-1]
-        phases = np.exp(-1j * w * (t_k - prev.anchor_time))
-        u_small = Operator(h_system.layout, (v * phases) @ v.conj().T)
-        evolved = apply_on(u_small, prev.anchor_state)
+        evolved = apply_on(propagator(h_system, t_k, prev.anchor_time), prev.anchor_state)
         post = apply_instrument(evolved, det)
         t_end = times[k + 1] if k + 1 < len(times) else math.inf
         segments.append(Segment(t_k, t_end, t_k, post))
@@ -161,10 +156,13 @@ def state_at(history: HistoryState, t: float) -> StateVector:
     """Condition the history on the clock reading ``t``.
 
     Locates the segment covering ``t`` and transports its anchor with the free
-    propagator, extended by the identity on every detector factor.
+    propagator, extended by the identity on every detector factor.  The
+    amplitudes at t = +-inf are undefined, so ``t`` must be finite.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"state_at needs a finite clock reading, got t={t}")
     seg = history.segment_at(t)
-    return apply_on(history.system_propagator(t - seg.anchor_time), seg.anchor_state)
+    return apply_on(propagator(history.h_system, t, seg.anchor_time), seg.anchor_state)
 
 
 def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
@@ -181,7 +179,6 @@ def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
         raise DomainError(f"interval [{t - dt}, {t + dt}] straddles an event boundary")
     psi_plus = state_at(history, t + dt).amplitudes
     psi_minus = state_at(history, t - dt).amplitudes
-    psi_mid = state_at(history, t).amplitudes
-    h_full = embed(history.h_system, history.h_system.layout.labels, history.layout).matrix
-    residual = 1j * (psi_plus - psi_minus) / (2.0 * dt) - h_full @ psi_mid
+    h_psi = apply_on(history.h_system, state_at(history, t)).amplitudes
+    residual = 1j * (psi_plus - psi_minus) / (2.0 * dt) - h_psi
     return float(np.linalg.norm(residual))

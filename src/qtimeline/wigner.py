@@ -15,14 +15,7 @@ import numpy as np
 
 from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, TOL_EQUALITY
 from .instrument import DetectorModel, KrausSet
-from .probability import (
-    OutcomeQuery,
-    ProbabilityTable,
-    conditional,
-    full_table,
-    marginal,
-    outcome_labels_at,
-)
+from .probability import ProbabilityTable, _nonnull, full_table, outcome_labels_at
 from .timeline import EventSchedule, HistoryState, build_history
 
 SYSTEM = "S"
@@ -116,27 +109,27 @@ class WignerTables:
 
 
 def tables(scenario: WignerScenario, t: float) -> WignerTables:
-    """The five probability grids of the scenario at clock reading ``t``."""
+    """The five probability grids of the scenario at clock reading ``t``.
+
+    All five come from one full table: the marginals sum its rows, and the
+    conditionals divide them by the marginal of the given label.
+    """
     history = build(scenario)
+    joint = full_table(history, t)
+    cells = joint.as_dict()
     labels = outcome_labels_at(history, t)
-
-    marginal_rows = {
-        det: tuple(((label,), marginal(history, OutcomeQuery({det: label}, t))) for label in labels[det])
-        for det in (WIGNER, FRIEND)
-    }
-
+    f_labels, w_labels = labels[FRIEND], labels[WIGNER]
+    p_f = {f: sum(cells[f, w] for w in w_labels) for f in f_labels}
+    p_w = {w: sum(cells[f, w] for f in f_labels) for w in w_labels}
     cond_w_rows = []
     cond_f_rows = []
-    for f_label in labels[FRIEND]:
-        for w_label in labels[WIGNER]:
-            key = (f_label, w_label)
-            cond_w_rows.append((key, conditional(history, {WIGNER: w_label}, {FRIEND: f_label}, t)))
-            cond_f_rows.append((key, conditional(history, {FRIEND: f_label}, {WIGNER: w_label}, t)))
-
+    for (f, w), value in joint.rows:
+        cond_w_rows.append(((f, w), value / _nonnull(p_f[f], {FRIEND: f}, t)))
+        cond_f_rows.append(((f, w), value / _nonnull(p_w[w], {WIGNER: w}, t)))
     return WignerTables(
-        joint=full_table(history, t),
-        marginal_w=ProbabilityTable((WIGNER,), marginal_rows[WIGNER], t),
-        marginal_f=ProbabilityTable((FRIEND,), marginal_rows[FRIEND], t),
+        joint=joint,
+        marginal_w=ProbabilityTable((WIGNER,), tuple(((w,), p_w[w]) for w in w_labels), t),
+        marginal_f=ProbabilityTable((FRIEND,), tuple(((f,), p_f[f]) for f in f_labels), t),
         cond_w_given_f=ProbabilityTable((FRIEND, WIGNER), tuple(cond_w_rows), t, given=(FRIEND,)),
         cond_f_given_w=ProbabilityTable((FRIEND, WIGNER), tuple(cond_f_rows), t, given=(WIGNER,)),
     )

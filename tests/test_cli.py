@@ -182,3 +182,49 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "joint p(f,w)" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("system", "state", 0), [float("nan"), 0.0]),
+        (("events", 0, "time"), float("nan")),
+        (("system", "t0"), float("-inf")),
+        (("queries", 0, "t"), float("nan")),
+        (("system", "factors", 0), ["S", 2.7]),
+        (("system", "factors", 0), ["S", "x"]),
+    ],
+)
+def test_malformed_numbers_are_validation_errors(tmp_path, capsys, path, value):
+    data = json.loads(write_scenario(tmp_path).read_text())
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))  # NaN and Infinity tokens, which json.loads accepts
+    assert main(["validate", str(bad)]) == 2
+    assert main(["simulate", str(bad)]) == 2
+    capsys.readouterr()
+
+
+def test_simulate_rejects_nan_query_time(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert main(["simulate", str(path), "--query", "M=up@t=nan"]) == 2
+    assert "NaN" in capsys.readouterr().err
+
+
+def test_simulate_accepts_infinite_query_time(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert main(["simulate", str(path), "--query", "full-table@t=inf", "--query", "M=r@t=-inf"]) == 0
+    out = capsys.readouterr().out
+    assert "M=up,N=up" in out and "nan" not in out
+
+
+def test_wigner_clock_reading_nan_and_inf(capsys):
+    assert main(["wigner", "--t", "nan"]) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert main(["wigner", "--t", "inf"]) == 0
+    out = capsys.readouterr().out
+    assert "joint p(f,w) at t=inf" in out
+    assert "0.5" in out and "nan" not in out

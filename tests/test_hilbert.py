@@ -15,7 +15,6 @@ from qtimeline.hilbert import (
     embed,
     identity,
     inner,
-    project_outcome,
     propagator,
     tensor,
 )
@@ -229,45 +228,6 @@ def test_inner_is_conjugate_linear_in_first_argument():
 def test_inner_rejects_layout_mismatch():
     with pytest.raises(LayoutError):
         inner(basis_state(qubit("A"), 0), basis_state(qubit("B"), 0))
-
-
-def test_project_outcome_extracts_branch():
-    # a|up,up> + b|down,down>: projecting the record factor picks one branch.
-    a, b = 0.6, 0.8
-    lay = SubsystemLayout.of(("S", 2), ("M", 2))
-    state = StateVector(lay, [a, 0, 0, b])
-    m_lay = SubsystemLayout.of(("M", 2))
-    up = project_outcome(state, "M", basis_state(m_lay, 0))
-    np.testing.assert_allclose(up.amplitudes, [a, 0])
-    assert up.layout.labels == ("S",)
-
-
-def test_project_outcome_ready_factor_is_transparent():
-    lay = SubsystemLayout.of(("S", 2), ("M", 3))
-    psi = np.array([0.6, 0.8j])
-    state = tensor(StateVector(SubsystemLayout.of(("S", 2)), psi), basis_state(SubsystemLayout.of(("M", 3)), 0))
-    out = project_outcome(state, "M", basis_state(SubsystemLayout.of(("M", 3)), 0))
-    np.testing.assert_allclose(out.amplitudes, psi)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_projection_weights_are_complete(seed):
-    rng = np.random.default_rng(seed)
-    lay = SubsystemLayout.of(("S", 3), ("M", 4))
-    z = rng.normal(size=12) + 1j * rng.normal(size=12)
-    state = StateVector(lay, z)
-    m_lay = SubsystemLayout.of(("M", 4))
-    total = sum(
-        project_outcome(state, "M", basis_state(m_lay, i)).norm ** 2 for i in range(4)
-    )
-    assert abs(total - state.norm**2) < 1e-12
-
-
-def test_project_outcome_rejects_unknown_label():
-    state = basis_state(SubsystemLayout.of(("S", 2)), 0)
-    with pytest.raises(LayoutError):
-        project_outcome(state, "M", basis_state(SubsystemLayout.of(("M", 2)), 0))
 
 
 def test_operator_predicates():

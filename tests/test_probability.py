@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtimeline.hilbert import DensityMatrix, Operator, embed
+from qtimeline.hilbert import DensityMatrix, DomainError, Operator, embed, tensor
 from qtimeline.probability import (
     ConditioningOnNullEvent,
     OutcomeQuery,
@@ -222,6 +223,20 @@ def test_chain_consistency(seed):
         assert abs(product - joint(history, OutcomeQuery(assignment, t))) < 1e-12
 
 
+def _trace_rule_pairs(history, t):
+    """(table value, tr(rho Pi)) for every full_table row, Pi the embedded record projector."""
+    rho = DensityMatrix.from_state(state_at(history, t))
+    table = full_table(history, t)
+    for combo, value in table.rows:
+        projector = None
+        for label, outcome in zip(table.detectors, combo):
+            det = history.schedule.detector(label)
+            record = det.record_state(outcome).amplitudes
+            factor = Operator(det.ancilla_layout, np.outer(record, record.conj()))
+            projector = factor if projector is None else tensor(projector, factor)
+        yield value, rho.expectation(embed(projector, table.detectors, history.layout))
+
+
 def test_joint_agrees_with_trace_rule():
     # One event: the assignment weight equals tr(rho Pi) with the record
     # projector embedded on the full layout.
@@ -239,3 +254,46 @@ def test_joint_agrees_with_trace_rule():
         via_trace = rho.expectation(effect)
         via_joint = joint(history, OutcomeQuery({label: outcome}, t))
         assert abs(via_trace - via_joint) < 1e-12
+
+    # Every full_table row, in every regime, on the Wigner history (a record
+    # measured by a later detector) and on two events under a nonzero H.
+    a, b = random_unit_pair(rng)
+    alpha, beta = random_unit_pair(rng)
+    sample = random_scenario(rng, events_range=(2, 2))
+    assert np.max(np.abs(sample.h_system.matrix)) > 0
+    histories = (
+        wigner_history(a, b, alpha, beta),
+        build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule),
+    )
+    for history in histories:
+        first, second = history.schedule.times
+        for t in (first - 0.3, (first + second) / 2, second + 1.7):
+            pairs = list(_trace_rule_pairs(history, t))
+            assert pairs
+            for via_table, via_trace in pairs:
+                assert abs(via_table - via_trace) < 1e-12
+
+
+def test_full_table_at_infinite_clock_readings():
+    rng = np.random.default_rng(31)
+    sample = random_scenario(rng, events_range=(2, 2))
+    history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+    after = full_table(history, sample.schedule.times[-1] + 1.0)
+    at_inf = full_table(history, math.inf)
+    assert [key for key, _ in at_inf.rows] == [key for key, _ in after.rows]
+    for (_, got), (_, expected) in zip(at_inf.rows, after.rows):
+        assert got == pytest.approx(expected, abs=1e-15)
+    assert full_table(history, -math.inf).rows == ((("r", "r"), pytest.approx(1.0, abs=1e-14)),)
+
+
+def test_nan_clock_reading_is_a_domain_error():
+    history = wigner_history(0.6, 0.8, 0.8, 0.6)
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        full_table(history, nan)
+    with pytest.raises(DomainError):
+        joint(history, OutcomeQuery({"F": "up", "W": "yes"}, nan))
+    with pytest.raises(DomainError):
+        marginal(history, OutcomeQuery({"W": "yes"}, nan))
+    with pytest.raises(DomainError):
+        conditional(history, {"F": "up"}, {"W": "yes"}, nan)

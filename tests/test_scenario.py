@@ -166,3 +166,56 @@ def test_query_string_conditional_form():
     assert q.mode == "conditional"
     assert q.target == {"M": "up"}
     assert q.given == {"N": "down"}
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def replace_at(data, path, value):
+    for step in path[:-1]:
+        data = data[step]
+    data[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("system", "state", 0), [NAN, 0.0], r"system.state\[0\]"),
+        (("system", "hamiltonian", 0, 0), [INF, 0.0], r"system.hamiltonian\[0\]\[0\]"),
+        (("events", 0, "kraus", 0, "matrix", 0, 0), [1.0, NAN], r"events\[0\].kraus\[0\].matrix\[0\]\[0\]"),
+        (("events", 0, "time"), NAN, r"events\[0\].time"),
+        (("events", 0, "time"), INF, r"events\[0\].time"),
+        (("system", "t0"), -INF, "system.t0"),
+        (("queries", 0, "t"), NAN, r"queries\[0\].t"),
+        (("system", "factors", 0), ["S", 2.7], r"system.factors\[0\]"),
+        (("system", "factors", 0), ["S", "x"], r"system.factors\[0\]"),
+        (("system", "factors", 0), ["S", True], r"system.factors\[0\]"),
+        (("system", "factors", 0), ["S", 0], r"system.factors\[0\]"),
+    ],
+)
+def test_parse_rejects_malformed_numbers(path, value, key):
+    data = qubit_scenario()
+    replace_at(data, path, value)
+    with pytest.raises(ScenarioError, match=key):
+        parse_scenario(data)
+
+
+def test_query_times_may_be_infinite():
+    data = qubit_scenario()
+    data["queries"] = [{"t": INF, "full_table": True}, {"t": -INF, "assignment": {"M": "r"}}]
+    assert [q.t for q in parse_scenario(data).queries] == [INF, -INF]
+    schedule = parse_scenario(qubit_scenario()).schedule
+    assert parse_query_string("M=up@t=inf", schedule).t == INF
+    with pytest.raises(ScenarioError, match="NaN"):
+        parse_query_string("M=up@t=nan", schedule)
+
+
+def test_query_string_is_validated_as_json_query():
+    scenario = two_detector_scenario()
+    with pytest.raises(ScenarioError, match=r"\.target"):
+        parse_query_string("X=up|N=down@t=3.0", scenario.schedule)
+    with pytest.raises(ScenarioError, match=r"\.given"):
+        parse_query_string("M=up|N=sideways@t=3.0", scenario.schedule)
+    with pytest.raises(ScenarioError, match="disjoint"):
+        parse_query_string("M=up|M=down@t=3.0", scenario.schedule)

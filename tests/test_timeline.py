@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qtimeline.hilbert import (
     SubsystemLayout,
     apply_on,
     basis_state,
+    propagator,
 )
 from qtimeline.instrument import DetectorModel, KrausSet, apply_instrument
 from qtimeline.sampling import random_complete_kraus, random_hermitian, random_state
@@ -49,6 +51,9 @@ def test_schedule_requires_strictly_increasing_times():
         EventSchedule(((2.0, det("A")), (1.0, det("B"))))
     with pytest.raises(ScheduleError):
         EventSchedule(((1.0, det("A")), (1.0, det("B"))))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ScheduleError):
+            EventSchedule(((bad, det("A")),))
 
 
 def test_empty_schedule_is_pure_free_evolution():
@@ -146,7 +151,7 @@ def test_segment_boundary_consistency():
     for k, (t_k, det) in enumerate(schedule.events):
         evolved = state_at(history, t_k - 1e-12)  # left limit within previous segment
         # transport the tiny remaining step exactly, then record
-        evolved = apply_on(history.system_propagator(1e-12), evolved)
+        evolved = apply_on(propagator(history.h_system, 1e-12, 0.0), evolved)
         pushed = apply_instrument(evolved, det)
         np.testing.assert_allclose(
             pushed.amplitudes, state_at(history, t_k).amplitudes, atol=1e-10
@@ -219,3 +224,30 @@ def test_constraint_residual_rejects_straddling_interval():
         constraint_residual(history, 1.00005, 1e-3)
     with pytest.raises(DomainError):
         constraint_residual(history, 1.0, -1e-4)
+
+
+def test_state_at_needs_a_finite_clock_reading():
+    history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6))
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            state_at(history, t)
+    with pytest.raises(DomainError):
+        history.segment_at(math.nan)
+
+
+def test_constraint_residual_never_builds_the_full_hamiltonian():
+    # A qubit with six binary detectors has total dimension 2 * 3**6 = 1458;
+    # an identity-padded H on it would take 34 MB.
+    psi0 = StateVector(S, np.array([1, 1j]) / np.sqrt(2))
+    h = Operator(S, [[0.3, 1.0], [1.0, -0.3]])
+    schedule = EventSchedule(tuple((float(k), projective_detector(f"M{k}")) for k in range(1, 7)))
+    history = build_history(psi0, 0.0, h, schedule)
+    assert history.layout.dim == 1458
+    tracemalloc.start()
+    try:
+        residual = constraint_residual(history, 7.5, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-6
+    assert peak < 4 * 2**20
