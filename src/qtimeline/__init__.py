@@ -3,8 +3,12 @@
 The package builds the global state of a measured system over all clock
 readings as exact piecewise time segments, evaluates joint, marginal, and
 conditional outcome probabilities at fixed clock readings, and ships a
-preconfigured Wigner's-friend scenario plus a sequential Born-rule oracle
-for cross-checking.
+preconfigured Wigner's-friend scenario.
+
+The sequential Born-rule oracle that cross-checks the pipeline is not
+re-exported here: it is the only module that needs scipy, and neither
+``import qtimeline`` nor the CLI loads scipy.  Import it as
+``from qtimeline.oracle import sequential_born``.
 """
 
 from .hilbert import (
@@ -32,7 +36,6 @@ from .instrument import (
     effect_of,
     validate,
 )
-from .oracle import sequential_born
 from .probability import (
     ConditioningOnNullEvent,
     OutcomeQuery,
@@ -90,7 +93,6 @@ __all__ = [
     "marginal",
     "outcome_labels_at",
     "propagator",
-    "sequential_born",
     "state_at",
     "tensor",
     "validate",

@@ -91,7 +91,11 @@ def _cmd_simulate(args) -> int:
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
 
-    history = build_history(scenario.psi0, scenario.t0, scenario.h_system, scenario.schedule)
+    try:
+        history = build_history(scenario.psi0, scenario.t0, scenario.h_system, scenario.schedule)
+    except DomainError as err:  # the dense dimension limit
+        print(f"{args.file}: {err}", file=sys.stderr)
+        return 2
 
     if args.query:
         try:

@@ -13,6 +13,7 @@ are deliberately not offered.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -58,6 +59,8 @@ class ProbabilityTable:
 
     def __post_init__(self) -> None:
         for key, value in self.rows:
+            if not math.isfinite(value):
+                raise DomainError(f"non-finite probability {value} for {key}")
             if value < -1e-12:
                 raise DomainError(f"negative probability {value} for {key}")
 

@@ -151,7 +151,11 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
         raise ScenarioError(
             "system.state", f"length {amps.size} does not match system dimension {layout.dim}"
         )
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if math.isinf(norm):  # squares of entries near the float limit overflow
+        amps = amps / np.abs(amps.view(np.float64)).max()
+        norm = float(np.linalg.norm(amps))
     if norm < 1e-9:
         raise ScenarioError("system.state", "state vector has (near-)zero norm")
     # Normalize only when needed so canonical files round-trip bit-identically.

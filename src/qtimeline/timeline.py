@@ -27,6 +27,10 @@ from .hilbert import (
 )
 from .instrument import DetectorModel, apply_instrument
 
+# Largest dense dimension build_history accepts: 2**24 complex128 amplitudes
+# are 256 MiB, and a history keeps one such anchor per segment.
+MAX_DENSE_DIM = 2**24
+
 
 class ScheduleError(ValueError):
     """Event times are not finite and strictly increasing, or t0 is not before them."""
@@ -120,6 +124,8 @@ def build_history(
     previous anchor to the event time and recording that event's outcome set
     into its ancilla; the final segment extends to +infinity.  Detector
     self-dynamics is trivial, so records persist unchanged once written.
+    A history whose dense dimension exceeds ``MAX_DENSE_DIM`` raises
+    :class:`DomainError` before any amplitude is allocated.
     """
     if h_system.layout != psi0.layout:
         raise LayoutError("system Hamiltonian must act on the initial state's layout")
@@ -131,11 +137,17 @@ def build_history(
         raise ScheduleError(f"t0={t0} must precede the first event at {schedule.times[0]}")
 
     full = psi0.layout
-    state = psi0
     for _, det in schedule.events:
         if det.detector_label in full:
             raise LayoutError(f"detector label {det.detector_label!r} collides with an existing factor")
         full = full.concat(det.ancilla_layout)
+    if full.dim > MAX_DENSE_DIM:
+        raise DomainError(
+            f"dense dimension {full.dim} of system and detector records exceeds the limit of "
+            f"{MAX_DENSE_DIM} amplitudes"
+        )
+    state = psi0
+    for _, det in schedule.events:
         state = tensor(state, det.ready_state())
 
     times = schedule.times

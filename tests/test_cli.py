@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtimeline
 from qtimeline.cli import main
 
 
@@ -174,14 +177,35 @@ def test_export_roundtrip(tmp_path, capsys):
     assert exported.read_text() == again.read_text()
 
 
+def child_env():
+    """Environment in which a fresh interpreter imports the qtimeline under test."""
+    env = dict(os.environ)
+    source_root = str(Path(qtimeline.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qtimeline.cli", "wigner", "--t", "3.0"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "joint p(f,w)" in proc.stdout
+
+
+def test_package_and_cli_do_not_import_scipy():
+    # A fresh interpreter: this process already holds scipy through the oracle tests.
+    code = (
+        "import sys\n"
+        "import qtimeline, qtimeline.cli, qtimeline.wigner, qtimeline.scenario, qtimeline.sampling\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
@@ -206,6 +230,18 @@ def test_malformed_numbers_are_validation_errors(tmp_path, capsys, path, value):
     assert main(["validate", str(bad)]) == 2
     assert main(["simulate", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_simulate_too_large_history_is_validation_error(tmp_path, capsys):
+    data = json.loads(write_scenario(tmp_path).read_text())
+    data["events"] = [
+        {"time": float(k), "detector": f"M{k}", "targets": ["S"], "kraus": projective_kraus()}
+        for k in range(1, 31)
+    ]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path)]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_simulate_rejects_nan_query_time(tmp_path, capsys):

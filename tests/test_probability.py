@@ -10,6 +10,7 @@ from qtimeline.hilbert import DensityMatrix, DomainError, Operator, embed, tenso
 from qtimeline.probability import (
     ConditioningOnNullEvent,
     OutcomeQuery,
+    ProbabilityTable,
     conditional,
     full_table,
     joint,
@@ -297,3 +298,9 @@ def test_nan_clock_reading_is_a_domain_error():
         marginal(history, OutcomeQuery({"W": "yes"}, nan))
     with pytest.raises(DomainError):
         conditional(history, {"F": "up"}, {"W": "yes"}, nan)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_probability_table_rejects_non_finite_rows(value):
+    with pytest.raises(DomainError, match="non-finite"):
+        ProbabilityTable(("M",), ((("up",), 0.5), (("down",), value)), 1.0)

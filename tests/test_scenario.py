@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtimeline.scenario import (
+    Scenario,
     ScenarioError,
     dump_scenario,
     load_scenario,
@@ -201,6 +204,13 @@ def test_parse_rejects_malformed_numbers(path, value, key):
         parse_scenario(data)
 
 
+def test_parse_normalizes_state_whose_norm_overflows():
+    data = qubit_scenario()
+    data["system"]["state"] = [[1e308, 0.0], [0.0, -1e308]]
+    amplitudes = parse_scenario(data).psi0.amplitudes
+    np.testing.assert_allclose(amplitudes, [2**-0.5, -1j * 2**-0.5], atol=1e-15)
+
+
 def test_query_times_may_be_infinite():
     data = qubit_scenario()
     data["queries"] = [{"t": INF, "full_table": True}, {"t": -INF, "assignment": {"M": "r"}}]
@@ -219,3 +229,50 @@ def test_query_string_is_validated_as_json_query():
         parse_query_string("M=up|N=sideways@t=3.0", scenario.schedule)
     with pytest.raises(ScenarioError, match="disjoint"):
         parse_query_string("M=up|M=down@t=3.0", scenario.schedule)
+
+
+def node_paths(node, prefix=()):
+    """Every path to a node of a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for step, child in children:
+        yield from node_paths(child, prefix + (step,))
+
+
+QUBIT_PATHS = list(node_paths(qubit_scenario()))
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([1e308, -1e308])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(QUBIT_PATHS), json_values), min_size=1, max_size=2))
+def test_parse_scenario_fuzz_yields_scenario_or_scenario_error(replacements):
+    data = qubit_scenario()
+    for path, value in replacements:
+        if not path:
+            data = value
+            continue
+        try:  # an earlier replacement may have removed this path
+            replace_at(data, path, value)
+        except (KeyError, IndexError, TypeError):
+            continue
+    try:
+        result = parse_scenario(data)
+    except ScenarioError:
+        return
+    assert isinstance(result, Scenario)
+    assert result.psi0.is_normalized

@@ -19,6 +19,7 @@ from qtimeline.hilbert import (
 from qtimeline.instrument import DetectorModel, KrausSet, apply_instrument
 from qtimeline.sampling import random_complete_kraus, random_hermitian, random_state
 from qtimeline.timeline import (
+    MAX_DENSE_DIM,
     EventSchedule,
     ScheduleError,
     build_history,
@@ -251,3 +252,19 @@ def test_constraint_residual_never_builds_the_full_hamiltonian():
         tracemalloc.stop()
     assert residual < 1e-6
     assert peak < 4 * 2**20
+
+
+def test_too_large_history_fails_before_allocating():
+    # Thirty binary detectors on a qubit would need 2 * 3**30 amplitudes.
+    psi0 = basis_state(S, 0)
+    h = Operator(S, np.zeros((2, 2)))
+    schedule = EventSchedule(tuple((float(k), projective_detector(f"M{k}")) for k in range(1, 31)))
+    assert 2 * 3**30 > MAX_DENSE_DIM
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            build_history(psi0, 0.0, h, schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
