@@ -25,7 +25,7 @@ from .probability import (
     marginal,
 )
 from .scenario import Query, ScenarioError, dump_scenario, load_scenario, parse_query_string
-from .timeline import HistoryState, build_history
+from .timeline import HistoryState, build_history, history_layout
 from .wigner import FRIEND, WIGNER, WignerScenario, tables
 
 PRETTY_DIGITS = 6
@@ -44,28 +44,29 @@ def _fmt(value: float, digits: int) -> str:
     return f"{clamp_probability(value):.{digits}g}"
 
 
-def _assignment_str(assignment, schedule) -> str:
-    order = [d for d in schedule.detector_labels if d in assignment]
-    return ",".join(f"{d}={assignment[d]}" for d in order)
+def _result_row(t: float, kind: str, value: float, order, assignment, given=None) -> ResultRow:
+    """Row text 'D=o,...' in ``order``; with ``given``, those detectors follow a '|'."""
+    def text(names) -> str:
+        return ",".join(f"{d}={assignment[d]}" for d in order if d in names)
+
+    label = text(assignment.keys() - set(given or ()))
+    return ResultRow(t, label if given is None else f"{label}|{text(given)}", kind, value)
 
 
 def _evaluate_query(history: HistoryState, query: Query) -> list[ResultRow]:
-    schedule = history.schedule
+    order = history.schedule.detector_labels
     if query.mode == "table":
         table = full_table(history, query.t)
-        return [
-            ResultRow(query.t, _assignment_str(dict(zip(table.detectors, key)), schedule), "joint", value)
-            for key, value in table.rows
-        ]
+        return [_result_row(query.t, "joint", value, order, dict(zip(table.detectors, key)))
+                for key, value in table.rows]
     if query.mode == "conditional":
         value = conditional(history, query.target, query.given, query.t)
-        text = f"{_assignment_str(query.target, schedule)}|{_assignment_str(query.given, schedule)}"
-        return [ResultRow(query.t, text, "conditional", value)]
-    covered = set(query.assignment) == set(schedule.detector_labels)
+        both = {**query.target, **query.given}
+        return [_result_row(query.t, "conditional", value, order, both, query.given)]
     q = OutcomeQuery(query.assignment, query.t)
-    if covered:
-        return [ResultRow(query.t, _assignment_str(query.assignment, schedule), "joint", joint(history, q))]
-    return [ResultRow(query.t, _assignment_str(query.assignment, schedule), "marginal", marginal(history, q))]
+    if set(query.assignment) == set(order):
+        return [_result_row(query.t, "joint", joint(history, q), order, query.assignment)]
+    return [_result_row(query.t, "marginal", marginal(history, q), order, query.assignment)]
 
 
 def _write_csv(path: str, rows: list[ResultRow]) -> None:
@@ -87,13 +88,8 @@ def _print_rows(rows: list[ResultRow]) -> None:
 def _cmd_simulate(args) -> int:
     try:
         scenario = load_scenario(args.file)
-    except (ScenarioError, OSError) as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
-        return 2
-
-    try:
         history = build_history(scenario.psi0, scenario.t0, scenario.h_system, scenario.schedule)
-    except DomainError as err:  # the dense dimension limit
+    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the dense dimension limit
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
 
@@ -202,17 +198,18 @@ def _cmd_wigner(args) -> int:
     print(_grid(result.cond_f_given_w, f_labels, w_labels, "f\\w"))
 
     if args.csv:
-        rows = []
-        for key, value in result.joint.rows:
-            rows.append(ResultRow(t, f"{FRIEND}={key[0]},{WIGNER}={key[1]}", "joint", value))
-        for key, value in result.marginal_w.rows:
-            rows.append(ResultRow(t, f"{WIGNER}={key[0]}", "marginal", value))
-        for key, value in result.marginal_f.rows:
-            rows.append(ResultRow(t, f"{FRIEND}={key[0]}", "marginal", value))
-        for key, value in result.cond_w_given_f.rows:
-            rows.append(ResultRow(t, f"{WIGNER}={key[1]}|{FRIEND}={key[0]}", "conditional", value))
-        for key, value in result.cond_f_given_w.rows:
-            rows.append(ResultRow(t, f"{FRIEND}={key[0]}|{WIGNER}={key[1]}", "conditional", value))
+        grids = (
+            (result.joint, "joint"),
+            (result.marginal_w, "marginal"),
+            (result.marginal_f, "marginal"),
+            (result.cond_w_given_f, "conditional"),
+            (result.cond_f_given_w, "conditional"),
+        )
+        rows = [
+            _result_row(t, kind, value, (FRIEND, WIGNER), dict(zip(table.detectors, key)), table.given or None)
+            for table, kind in grids
+            for key, value in table.rows
+        ]
         _write_csv(args.csv, rows)
     return 0
 
@@ -220,7 +217,8 @@ def _cmd_wigner(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         scenario = load_scenario(args.file)
-    except (ScenarioError, OSError) as err:
+        history_layout(scenario.psi0.layout, scenario.schedule)
+    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the dense dimension limit
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
     n_events = len(scenario.schedule)

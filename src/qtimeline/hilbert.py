@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +139,14 @@ class Operator:
         object.__setattr__(self, "matrix", arr)
 
     def is_hermitian(self, tol: float = TOL_PREDICATE) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+        # Entries near the float limit overflow to inf or nan, which fail the check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``eigh`` of the matrix, or None if it is not Hermitian; computed once."""
+        return np.linalg.eigh(self.matrix) if self.is_hermitian() else None
 
     def is_unitary(self, tol: float = TOL_PREDICATE) -> bool:
         product = self.matrix.conj().T @ self.matrix
@@ -246,6 +254,27 @@ def embed(op: Operator, targets, full: SubsystemLayout) -> Operator:
     return Operator(full, _permute_matrix(big, op.layout.concat(rest), full))
 
 
+def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np.ndarray) -> np.ndarray:
+    """Apply ``matrices`` (one matrix on ``op_layout``, or a stack whose axes lead the
+    result) to the factors of ``op_layout`` in ``tens``, whose axes ``labels`` names."""
+    axes = []
+    for label, dim in op_layout.factors:
+        if label not in labels:
+            raise LayoutError(f"no subsystem {label!r} in layout {tuple(labels)}")
+        ax = labels.index(label)
+        if tens.shape[ax] != dim:
+            raise LayoutError(
+                f"dimension mismatch for {label!r}: operator has {dim}, state has {tens.shape[ax]}"
+            )
+        axes.append(ax)
+    perm = axes + [ax for ax in range(tens.ndim) if ax not in axes]
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    moved = tens.transpose(perm)
+    lead = matrices.ndim - 2
+    out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:lead] + moved.shape)
+    return out.transpose([*range(lead), *(lead + ax for ax in inverse)])
+
+
 def apply_on(op: Operator, state: StateVector) -> StateVector:
     """Apply ``op`` to the factors of ``state`` named by its layout.
 
@@ -253,33 +282,21 @@ def apply_on(op: Operator, state: StateVector) -> StateVector:
     but contracts the named axes directly instead of materializing the
     identity-padded matrix.
     """
-    layout = state.layout
-    axes = []
-    for label, dim in op.layout.factors:
-        ax = layout.axis(label)
-        if layout.dims[ax] != dim:
-            raise LayoutError(
-                f"dimension mismatch for {label!r}: operator has {dim}, state has {layout.dims[ax]}"
-            )
-        axes.append(ax)
-    k = len(axes)
-    tens = np.moveaxis(state.as_tensor(), axes, range(k))
-    moved_shape = tens.shape
-    flat = tens.reshape(op.layout.dim, -1)
-    out = (op.matrix @ flat).reshape(moved_shape)
-    out = np.moveaxis(out, range(k), axes)
-    return StateVector(layout, out.reshape(-1))
+    out = _contract(op.matrix, op.layout, state.layout.labels, state.as_tensor())
+    return StateVector(state.layout, out.reshape(-1))
 
 
 def propagator(h: Operator, t: float, t0: float) -> Operator:
     """Unitary generated by a Hermitian ``h`` over the interval ``t0 -> t``.
 
     Computed by eigendecomposition, so the result is unitary up to eigensolver
-    error rather than series truncation.
+    error rather than series truncation.  The decomposition is cached on
+    ``h``, so repeated propagators of one generator run ``eigh`` once.
     """
-    if not h.is_hermitian():
+    spectrum = h._spectrum
+    if spectrum is None:
         raise DomainError("propagator requires a Hermitian generator")
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = spectrum
     phases = np.exp(-1j * w * (t - t0))
     return Operator(h.layout, (v * phases) @ v.conj().T)
 

@@ -16,7 +16,7 @@ from .hilbert import (
     Operator,
     StateVector,
     SubsystemLayout,
-    apply_on,
+    _contract,
     basis_state,
 )
 
@@ -77,9 +77,11 @@ def validate(kraus: KrausSet) -> ValidationReport:
     """Check completeness sum(K^dag K) = I; reports the max-norm deviation."""
     dim = kraus.target_layout.dim
     total = np.zeros((dim, dim), dtype=np.complex128)
-    for _, op in kraus.outcomes:
-        total += op.matrix.conj().T @ op.matrix
-    deviation = float(np.max(np.abs(total - np.eye(dim))))
+    # Entries near the float limit overflow to inf or nan, which fail the check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, op in kraus.outcomes:
+            total += op.matrix.conj().T @ op.matrix
+        deviation = float(np.max(np.abs(total - np.eye(dim))))
     return ValidationReport(deviation <= TOL_PREDICATE, deviation)
 
 
@@ -193,12 +195,12 @@ def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
     if off_ready.size and np.max(np.abs(off_ready)) >= TOL_PREDICATE:
         raise StateError(f"detector {det.detector_label!r} is not in its ready state")
 
-    rest_layout = layout.drop(det.detector_label)
-    psi_rest = StateVector(rest_layout, np.ascontiguousarray(moved[..., det.ready_index]).reshape(-1))
-
-    out = np.zeros(layout.dims, dtype=np.complex128)
-    out_moved = np.moveaxis(out, ax, -1)
-    for outcome, op in det.kraus.outcomes:
-        branch = apply_on(op, psi_rest)
-        out_moved[..., det.outcome_basis[outcome]] = branch.amplitudes.reshape(rest_layout.dims)
+    # Every branch K_m psi in one stacked contraction, written into ancilla slot m.
+    others = [i for i in range(tens.ndim) if i != ax]
+    stack = np.stack([op.matrix for _, op in det.kraus.outcomes])
+    rest_labels = [layout.labels[i] for i in others]
+    branches = _contract(stack, det.kraus.target_layout, rest_labels, moved[..., det.ready_index])
+    slots = [det.outcome_basis[label] for label in det.kraus.outcome_labels]
+    out = np.zeros(tens.shape, dtype=np.complex128)
+    out.transpose([ax, *others])[slots] = branches
     return StateVector(layout, out.reshape(-1))

@@ -76,3 +76,29 @@ def random_scenario(
         h_system=random_hermitian(rng, layout),
         schedule=EventSchedule(tuple(events)),
     )
+
+
+def random_wide_scenario(
+    rng: np.random.Generator,
+    factors_range: tuple[int, int] = (1, 3),
+    dim_range: tuple[int, int] = (2, 3),
+    events_range: tuple[int, int] = (1, 3),
+) -> ScenarioSample:
+    """System factors S0..Sn, detectors D1..Dk at times 1..k with 2-3 outcomes. Each Kraus
+    family acts on a random subset of the system factors in random order and, from D2 on
+    with probability 1/2, on one earlier detector's record at a random place among them."""
+    n_factors = int(rng.integers(factors_range[0], factors_range[1] + 1))
+    dims = {f"S{i}": int(rng.integers(dim_range[0], dim_range[1] + 1)) for i in range(n_factors)}
+    layout = SubsystemLayout(tuple(dims.items()))
+    events = []
+    for k in range(int(rng.integers(events_range[0], events_range[1] + 1))):
+        targets = [str(t) for t in rng.permutation(layout.labels)[: rng.integers(1, n_factors + 1)]]
+        if k and rng.random() < 0.5:
+            targets.insert(int(rng.integers(0, len(targets) + 1)), f"D{rng.integers(1, k + 1)}")
+        target_layout = SubsystemLayout(tuple((t, dims[t]) for t in targets))
+        det = DetectorModel(f"D{k + 1}", random_complete_kraus(rng, target_layout, int(rng.integers(2, 4))))
+        dims[det.detector_label] = det.ancilla_dim
+        events.append((float(k + 1), det))
+    return ScenarioSample(
+        random_state(rng, layout), 0.0, random_hermitian(rng, layout), EventSchedule(tuple(events))
+    )

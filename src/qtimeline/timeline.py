@@ -23,7 +23,6 @@ from .hilbert import (
     SubsystemLayout,
     apply_on,
     propagator,
-    tensor,
 )
 from .instrument import DetectorModel, apply_instrument
 
@@ -111,6 +110,24 @@ class HistoryState:
         return self.segments[index]
 
 
+def history_layout(system: SubsystemLayout, schedule: EventSchedule) -> SubsystemLayout:
+    """System factors then one record per event; LayoutError on a label collision,
+    DomainError beyond ``MAX_DENSE_DIM``, both before anything is allocated."""
+    seen = set(system.labels)
+    for label in schedule.detector_labels:
+        if label in seen:
+            raise LayoutError(f"detector label {label!r} collides with an existing factor")
+        seen.add(label)
+    records = tuple((det.detector_label, det.ancilla_dim) for _, det in schedule.events)
+    full = SubsystemLayout(system.factors + records)
+    if full.dim > MAX_DENSE_DIM:
+        raise DomainError(
+            f"dense dimension {full.dim} of system and detector records exceeds the limit of "
+            f"{MAX_DENSE_DIM} amplitudes"
+        )
+    return full
+
+
 def build_history(
     psi0: StateVector,
     t0: float,
@@ -136,19 +153,11 @@ def build_history(
     if len(schedule) and not t0 < schedule.times[0]:
         raise ScheduleError(f"t0={t0} must precede the first event at {schedule.times[0]}")
 
-    full = psi0.layout
-    for _, det in schedule.events:
-        if det.detector_label in full:
-            raise LayoutError(f"detector label {det.detector_label!r} collides with an existing factor")
-        full = full.concat(det.ancilla_layout)
-    if full.dim > MAX_DENSE_DIM:
-        raise DomainError(
-            f"dense dimension {full.dim} of system and detector records exceeds the limit of "
-            f"{MAX_DENSE_DIM} amplitudes"
-        )
-    state = psi0
-    for _, det in schedule.events:
-        state = tensor(state, det.ready_state())
+    full = history_layout(psi0.layout, schedule)
+    # psi0 (x) |r...r>: psi0 written at every detector's ready index.
+    amps = np.zeros((psi0.layout.dim,) + full.dims[len(psi0.layout.factors):], dtype=np.complex128)
+    amps[(slice(None),) + tuple(det.ready_index for _, det in schedule.events)] = psi0.amplitudes
+    state = StateVector(full, amps.reshape(-1))
 
     times = schedule.times
     first_end = times[0] if times else math.inf

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +233,8 @@ def test_malformed_numbers_are_validation_errors(tmp_path, capsys, path, value):
     capsys.readouterr()
 
 
-def test_simulate_too_large_history_is_validation_error(tmp_path, capsys):
+def write_large_scenario(tmp_path):
+    """A qubit with 30 binary detectors: 2 * 3**30 amplitudes, over the dense limit."""
     data = json.loads(write_scenario(tmp_path).read_text())
     data["events"] = [
         {"time": float(k), "detector": f"M{k}", "targets": ["S"], "kraus": projective_kraus()}
@@ -240,8 +242,47 @@ def test_simulate_too_large_history_is_validation_error(tmp_path, capsys):
     ]
     path = tmp_path / "large.json"
     path.write_text(json.dumps(data))
-    assert main(["simulate", str(path)]) == 2
+    return path
+
+
+def test_simulate_too_large_history_is_validation_error(tmp_path, capsys):
+    assert main(["simulate", str(write_large_scenario(tmp_path))]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_validate_too_large_history_is_validation_error(tmp_path, capsys):
+    assert main(["validate", str(write_large_scenario(tmp_path))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the limit" in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("events", 0, "kraus", 0, "matrix", 0, 0), [1e308, 0.0], "completeness violated by inf"),
+        (("system", "hamiltonian", 0, 1), [1e308, 0.0], "not Hermitian"),
+    ],
+    ids=["kraus", "hamiltonian"],
+)
+def test_entries_near_the_float_limit_fail_without_warnings(tmp_path, capsys, command, path, value, message):
+    data = json.loads(write_scenario(tmp_path).read_text())
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    if path[0] == "system":  # keep the matrix Hermitian up to the overflow of its check
+        data["system"]["hamiltonian"][1][0] = [-1e308, 0.0]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(huge)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert message in err
 
 
 def test_simulate_rejects_nan_query_time(tmp_path, capsys):

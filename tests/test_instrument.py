@@ -10,6 +10,7 @@ from qtimeline.hilbert import (
     StateVector,
     SubsystemLayout,
     basis_state,
+    embed,
     tensor,
 )
 from qtimeline.instrument import (
@@ -173,6 +174,36 @@ def test_apply_instrument_on_entangled_targets():
     no_amp = alpha * b - beta * a
     assert abs(np.vdot(yes_vec, sf_part) - yes_amp) < 1e-12
     assert abs(np.vdot(no_vec, sf_part) - no_amp) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "targets, n_outcomes, outcome_basis, ready_index",
+    [
+        (("B", "A"), 2, None, 0),  # reversed against the layout, default ancilla basis
+        (("B", "D1", "A"), 3, {"o0": 3, "o1": 0, "o2": 1}, 2),  # an earlier record, cycled
+        (("D1", "A"), 2, {"o0": 0, "o1": 2}, 1),
+    ],
+    ids=["reversed", "record-cycled", "record-first"],
+)
+def test_apply_instrument_matches_embedded_kraus_reference(targets, n_outcomes, outcome_basis, ready_index):
+    # Layout A, D2, B, D1: the recording detector D2 sits between system
+    # factors, and D1 is an earlier record holding arbitrary amplitudes.
+    rng = np.random.default_rng(len(targets) + n_outcomes)
+    dims = {"A": 2, "B": 3, "D1": 3}
+    kraus = random_complete_kraus(rng, SubsystemLayout(tuple((t, dims[t]) for t in targets)), n_outcomes)
+    det = DetectorModel("D2", kraus, ready_index=ready_index, outcome_basis=outcome_basis)
+    layout = SubsystemLayout.of(("A", 2), ("D2", det.ancilla_dim), ("B", 3), ("D1", 3))
+    rest = SubsystemLayout.of(("A", 2), ("B", 3), ("D1", 3))
+    psi_rest = random_state(rng, rest)
+    amps = np.zeros(layout.dims, dtype=complex)
+    amps[:, ready_index] = psi_rest.as_tensor()
+    out = apply_instrument(StateVector(layout, amps.reshape(-1)), det)
+
+    expected = np.zeros(layout.dims, dtype=complex)
+    for label, op in kraus.outcomes:
+        branch = embed(op, targets, rest).apply(psi_rest)
+        expected[:, det.outcome_basis[label]] = branch.as_tensor()
+    np.testing.assert_allclose(out.amplitudes, expected.reshape(-1), rtol=0, atol=1e-12)
 
 
 def test_apply_instrument_requires_ready_detector():

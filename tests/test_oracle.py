@@ -15,7 +15,13 @@ from qtimeline.hilbert import (
 from qtimeline.instrument import DetectorModel, KrausSet
 from qtimeline.oracle import sequential_born
 from qtimeline.probability import OutcomeQuery, joint
-from qtimeline.sampling import random_complete_kraus, random_hermitian, random_scenario, random_state
+from qtimeline.sampling import (
+    random_complete_kraus,
+    random_hermitian,
+    random_scenario,
+    random_state,
+    random_wide_scenario,
+)
 from qtimeline.timeline import EventSchedule, build_history
 from qtimeline.wigner import friend_detector, wigner_detector
 
@@ -106,6 +112,38 @@ def test_oracle_agrees_on_three_qubit_system():
         p_history = joint(history, OutcomeQuery(assignment, 4.0))
         p_oracle = sequential_born(psi_first, h, schedule, assignment)
         assert abs(p_history - p_oracle) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"factors_range": (1, 2), "dim_range": (2, 3)},
+        {"factors_range": (3, 3), "dim_range": (2, 2), "events_range": (2, 2)},
+    ],
+)
+def test_oracle_agrees_on_every_accepted_shape(shape):
+    # Multi-factor systems, Kraus targets in permuted order, and Kraus
+    # families on earlier records, which the oracle carries coherently.
+    seen = {"multi_factor": False, "permuted": False, "record": False}
+    for seed in range(30):
+        sample = random_wide_scenario(np.random.default_rng([seed, 1]), **shape)
+        system, schedule = sample.psi0.layout, sample.schedule
+        history = build_history(sample.psi0, sample.t0, sample.h_system, schedule)
+        psi_first = propagator(sample.h_system, schedule.times[0], sample.t0).apply(sample.psi0)
+        targeted = {label for _, det in schedule.events for label in det.kraus.target_labels}
+        for _, det in schedule.events:
+            if det.detector_label in targeted:
+                psi_first = tensor(psi_first, det.ready_state())
+        for assignment in all_assignments(schedule):
+            p_history = joint(history, OutcomeQuery(assignment, schedule.times[-1] + 1.0))
+            p_oracle = sequential_born(psi_first, sample.h_system, schedule, assignment)
+            assert abs(p_history - p_oracle) < 1e-10
+        seen["multi_factor"] |= len(system.factors) > 1
+        for _, det in schedule.events:
+            on_system = [label for label in det.kraus.target_labels if label in system]
+            seen["permuted"] |= on_system != sorted(on_system, key=system.axis)
+            seen["record"] |= len(on_system) < len(det.kraus.target_labels)
+    assert all(seen.values()), seen
 
 
 def test_oracle_requires_every_outcome():

@@ -7,6 +7,7 @@ from qtimeline.sampling import (
     random_hermitian,
     random_scenario,
     random_state,
+    random_wide_scenario,
 )
 
 
@@ -45,3 +46,22 @@ def test_random_scenario_is_seed_deterministic():
     np.testing.assert_array_equal(one.psi0.amplitudes, two.psi0.amplitudes)
     np.testing.assert_array_equal(one.h_system.matrix, two.h_system.matrix)
     assert one.schedule.times == two.schedule.times
+
+
+def test_random_wide_scenario_shape_and_determinism():
+    for seed in range(20):
+        sample = random_wide_scenario(np.random.default_rng(seed))
+        system = sample.psi0.layout
+        assert sample.psi0.is_normalized and sample.h_system.is_hermitian()
+        assert 1 <= len(system.factors) <= 3 and 1 <= len(sample.schedule) <= 3
+        for k, (t, det) in enumerate(sample.schedule.events):
+            assert t == k + 1 and validate(det.kraus).max_deviation < 1e-12
+            earlier = set(sample.schedule.detector_labels[:k])
+            records = [label for label in det.kraus.target_labels if label not in system]
+            assert len(records) <= 1 and set(records) <= earlier
+    one = random_wide_scenario(np.random.default_rng(5))
+    two = random_wide_scenario(np.random.default_rng(5))
+    np.testing.assert_array_equal(one.psi0.amplitudes, two.psi0.amplitudes)
+    assert [d.kraus.target_labels for _, d in one.schedule.events] == [
+        d.kraus.target_labels for _, d in two.schedule.events
+    ]

@@ -254,6 +254,26 @@ def test_constraint_residual_never_builds_the_full_hamiltonian():
     assert peak < 4 * 2**20
 
 
+def test_build_history_runs_one_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(12)
+    layout = SubsystemLayout.of(("S", 2), ("Q", 2))
+    h = random_hermitian(rng, layout)
+    events = tuple(
+        (float(k + 1), DetectorModel(f"D{k}", random_complete_kraus(rng, layout, 2))) for k in range(6)
+    )
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    history = build_history(random_state(rng, layout), 0.0, h, EventSchedule(events))
+    assert calls == [(4, 4)]
+    assert all(seg.anchor_state.is_normalized for seg in history.segments)
+
+
 def test_too_large_history_fails_before_allocating():
     # Thirty binary detectors on a qubit would need 2 * 3**30 amplitudes.
     psi0 = basis_state(S, 0)
