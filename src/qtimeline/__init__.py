@@ -12,28 +12,20 @@ re-exported here: it is the only module that needs scipy, and neither
 """
 
 from .hilbert import (
-    DensityMatrix,
     DomainError,
     LayoutError,
     Operator,
     StateVector,
     SubsystemLayout,
-    basis_state,
-    embed,
-    identity,
-    inner,
     propagator,
-    tensor,
 )
 from .instrument import (
     DetectorModel,
-    Effect,
     KrausSet,
     StateError,
     ValidationError,
     ValidationReport,
     apply_instrument,
-    effect_of,
     validate,
 )
 from .probability import (
@@ -59,10 +51,8 @@ from .wigner import WignerScenario, WignerTables
 
 __all__ = [
     "ConditioningOnNullEvent",
-    "DensityMatrix",
     "DetectorModel",
     "DomainError",
-    "Effect",
     "EventSchedule",
     "HistoryState",
     "KrausSet",
@@ -80,20 +70,14 @@ __all__ = [
     "WignerScenario",
     "WignerTables",
     "apply_instrument",
-    "basis_state",
     "build_history",
     "conditional",
     "constraint_residual",
-    "effect_of",
-    "embed",
     "full_table",
-    "identity",
-    "inner",
     "joint",
     "marginal",
     "outcome_labels_at",
     "propagator",
     "state_at",
-    "tensor",
     "validate",
 ]

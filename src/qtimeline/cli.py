@@ -18,13 +18,12 @@ from .probability import (
     ConditioningOnNullEvent,
     OutcomeQuery,
     ProbabilityTable,
-    clamp_probability,
     conditional,
     full_table,
     joint,
     marginal,
 )
-from .scenario import Query, ScenarioError, dump_scenario, load_scenario, parse_query_string
+from .scenario import ScenarioError, dump_scenario, load_scenario, parse_query_string
 from .timeline import HistoryState, build_history, history_layout
 from .wigner import FRIEND, WIGNER, WignerScenario, tables
 
@@ -41,7 +40,8 @@ class ResultRow:
 
 
 def _fmt(value: float, digits: int) -> str:
-    return f"{clamp_probability(value):.{digits}g}"
+    """Clip reporting round-off into [0, 1]; raw values stay untouched elsewhere."""
+    return f"{min(max(value, 0.0), 1.0):.{digits}g}"
 
 
 def _result_row(t: float, kind: str, value: float, order, assignment, given=None) -> ResultRow:
@@ -53,20 +53,19 @@ def _result_row(t: float, kind: str, value: float, order, assignment, given=None
     return ResultRow(t, label if given is None else f"{label}|{text(given)}", kind, value)
 
 
-def _evaluate_query(history: HistoryState, query: Query) -> list[ResultRow]:
+def _evaluate_query(history: HistoryState, query: OutcomeQuery) -> list[ResultRow]:
     order = history.schedule.detector_labels
-    if query.mode == "table":
+    if query.given is not None:
+        value = conditional(history, query.assignments, query.given, query.t)
+        both = {**query.assignments, **query.given}
+        return [_result_row(query.t, "conditional", value, order, both, query.given)]
+    if not query.assignments:
         table = full_table(history, query.t)
         return [_result_row(query.t, "joint", value, order, dict(zip(table.detectors, key)))
                 for key, value in table.rows]
-    if query.mode == "conditional":
-        value = conditional(history, query.target, query.given, query.t)
-        both = {**query.target, **query.given}
-        return [_result_row(query.t, "conditional", value, order, both, query.given)]
-    q = OutcomeQuery(query.assignment, query.t)
-    if set(query.assignment) == set(order):
-        return [_result_row(query.t, "joint", joint(history, q), order, query.assignment)]
-    return [_result_row(query.t, "marginal", marginal(history, q), order, query.assignment)]
+    if set(query.assignments) == set(order):
+        return [_result_row(query.t, "joint", joint(history, query), order, query.assignments)]
+    return [_result_row(query.t, "marginal", marginal(history, query), order, query.assignments)]
 
 
 def _write_csv(path: str, rows: list[ResultRow]) -> None:
@@ -112,7 +111,7 @@ def _cmd_simulate(args) -> int:
             print(f"query {index}: {message}", file=sys.stderr)
             failed = True
             continue
-        if query.mode == "table":
+        if query.given is None and not query.assignments:
             print(f"full table at t={query.t:g}")
             _print_rows(rows)
             print(f"  {'total':<12} {'':<10} {'':<{max(len(r.assignment) for r in rows)}}  "

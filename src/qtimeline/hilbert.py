@@ -29,19 +29,12 @@ class DomainError(ValueError):
     """Input violates a mathematical precondition of the operation."""
 
 
-def _frozen_complex(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered, uniquely labeled tensor factors.
 
     The factor order is canonical: it fixes the row-major index convention of
-    every state and operator built on the layout.  Callers never reorder by
-    hand; :func:`embed` handles permutation.
+    every state and operator built on the layout.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -83,16 +76,6 @@ class SubsystemLayout:
     def dim_of(self, label: str) -> int:
         return self.factors[self.axis(label)][1]
 
-    def drop(self, label: str) -> "SubsystemLayout":
-        ax = self.axis(label)
-        return SubsystemLayout(self.factors[:ax] + self.factors[ax + 1:])
-
-    def concat(self, other: "SubsystemLayout") -> "SubsystemLayout":
-        overlap = set(self.labels) & set(other.labels)
-        if overlap:
-            raise LayoutError(f"subsystem labels already present: {sorted(overlap)}")
-        return SubsystemLayout(self.factors + other.factors)
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -132,10 +115,11 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _frozen_complex(self.matrix)
+        arr = np.array(self.matrix, dtype=np.complex128)
         d = self.layout.dim
         if arr.shape != (d, d):
             raise LayoutError(f"matrix shape {arr.shape} does not match layout dimension {d}")
+        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     def is_hermitian(self, tol: float = TOL_PREDICATE) -> bool:
@@ -152,106 +136,10 @@ class Operator:
         product = self.matrix.conj().T @ self.matrix
         return bool(np.max(np.abs(product - np.eye(self.layout.dim))) <= tol)
 
-    def is_positive(self, tol: float = TOL_PREDICATE) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        return bool(np.min(np.linalg.eigvalsh(self.matrix)) >= -tol)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.layout, self.matrix.conj().T)
-
     def apply(self, state: StateVector) -> StateVector:
         if state.layout != self.layout:
             raise LayoutError("operator and state layouts differ")
         return StateVector(self.layout, self.matrix @ state.amplitudes)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if other.layout != self.layout:
-            raise LayoutError("operator layouts differ")
-        return Operator(self.layout, self.matrix @ other.matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix(Operator):
-    """Trace-one positive operator; the trace-rule-ready form of a state."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        tr = complex(np.trace(self.matrix))
-        if abs(tr - 1.0) > TOL_EQUALITY:
-            raise DomainError(f"density matrix trace {tr} deviates from 1 beyond {TOL_EQUALITY}")
-        if not self.is_hermitian():
-            raise DomainError("density matrix must be Hermitian")
-        if np.min(np.linalg.eigvalsh(self.matrix)) < -TOL_PREDICATE:
-            raise DomainError("density matrix has an eigenvalue below -1e-10")
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityMatrix":
-        if not state.is_normalized:
-            raise DomainError("state must be normalized to form a density matrix")
-        return cls(state.layout, np.outer(state.amplitudes, state.amplitudes.conj()))
-
-    def expectation(self, op: Operator) -> float:
-        if op.layout != self.layout:
-            raise LayoutError("operator layout differs from density matrix layout")
-        return float(np.real(np.trace(self.matrix @ op.matrix)))
-
-
-def identity(layout: SubsystemLayout) -> Operator:
-    return Operator(layout, np.eye(layout.dim))
-
-
-def basis_state(layout: SubsystemLayout, index: int) -> StateVector:
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(layout, amps)
-
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators with disjoint labels."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(a.layout.concat(b.layout), np.kron(a.matrix, b.matrix))
-    raise TypeError("tensor expects two StateVectors or two Operators")
-
-
-def _permute_matrix(matrix: np.ndarray, src: SubsystemLayout, dst: SubsystemLayout) -> np.ndarray:
-    if src.factors == dst.factors:
-        return matrix
-    if sorted(src.factors) != sorted(dst.factors):
-        raise LayoutError(f"cannot permute {src.labels} into {dst.labels}")
-    n = len(src.factors)
-    perm = [src.labels.index(label) for label in dst.labels]
-    tens = matrix.reshape(src.dims + src.dims)
-    tens = tens.transpose(tuple(perm) + tuple(n + p for p in perm))
-    return np.ascontiguousarray(tens.reshape(dst.dim, dst.dim))
-
-
-def embed(op: Operator, targets, full: SubsystemLayout) -> Operator:
-    """Extend ``op`` by the identity on every factor of ``full`` it does not touch.
-
-    ``targets`` must name exactly the factors of ``op``'s own layout; the
-    operator's internal factor order defines how it acts, and the result is
-    permuted to ``full``'s canonical order.
-    """
-    target_set = set(targets)
-    if target_set != set(op.layout.labels):
-        raise LayoutError(
-            f"targets {sorted(target_set)} must name exactly the operator factors {op.layout.labels}"
-        )
-    for label, dim in op.layout.factors:
-        if label not in full:
-            raise LayoutError(f"target {label!r} not present in full layout {full.labels}")
-        if full.dim_of(label) != dim:
-            raise LayoutError(
-                f"dimension mismatch for {label!r}: operator has {dim}, layout has {full.dim_of(label)}"
-            )
-    rest = SubsystemLayout(tuple(f for f in full.factors if f[0] not in target_set))
-    big = np.kron(op.matrix, np.eye(rest.dim))
-    return Operator(full, _permute_matrix(big, op.layout.concat(rest), full))
 
 
 def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np.ndarray) -> np.ndarray:
@@ -278,9 +166,8 @@ def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np
 def apply_on(op: Operator, state: StateVector) -> StateVector:
     """Apply ``op`` to the factors of ``state`` named by its layout.
 
-    Equivalent to ``embed(op, op.layout.labels, state.layout).apply(state)``
-    but contracts the named axes directly instead of materializing the
-    identity-padded matrix.
+    Contracts the named axes directly; the identity-padded matrix on the full
+    layout is never materialized.
     """
     out = _contract(op.matrix, op.layout, state.layout.labels, state.as_tensor())
     return StateVector(state.layout, out.reshape(-1))
@@ -299,11 +186,4 @@ def propagator(h: Operator, t: float, t0: float) -> Operator:
     w, v = spectrum
     phases = np.exp(-1j * w * (t - t0))
     return Operator(h.layout, (v * phases) @ v.conj().T)
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    if a.layout != b.layout:
-        raise LayoutError("inner product requires identical layouts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 

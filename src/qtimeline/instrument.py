@@ -1,5 +1,6 @@
-"""Generalized measurements: outcome-labeled Kraus families, their POVM
-effects, and the unitary recording map onto an orthogonal detector ancilla."""
+"""Generalized measurements: outcome-labeled Kraus families, their
+completeness check, and the unitary recording map onto an orthogonal detector
+ancilla."""
 
 from __future__ import annotations
 
@@ -11,13 +12,11 @@ import numpy as np
 
 from .hilbert import (
     TOL_PREDICATE,
-    DomainError,
     LayoutError,
     Operator,
     StateVector,
     SubsystemLayout,
     _contract,
-    basis_state,
 )
 
 
@@ -86,24 +85,6 @@ def validate(kraus: KrausSet) -> ValidationReport:
 
 
 @dataclass(frozen=True, eq=False)
-class Effect(Operator):
-    """Positive operator below the identity; assigns outcome probabilities."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.is_hermitian():
-            raise DomainError("an effect must be Hermitian")
-        eigenvalues = np.linalg.eigvalsh(self.matrix)
-        if np.min(eigenvalues) < -TOL_PREDICATE or np.max(eigenvalues) > 1.0 + TOL_PREDICATE:
-            raise DomainError("effect eigenvalues must lie in [0, 1] up to 1e-10")
-
-
-def effect_of(kraus: KrausSet, outcome: str) -> Effect:
-    op = kraus.operator_for(outcome)
-    return Effect(op.layout, op.matrix.conj().T @ op.matrix)
-
-
-@dataclass(frozen=True, eq=False)
 class DetectorModel:
     """A Kraus family plus the ancilla that records its outcomes.
 
@@ -158,10 +139,7 @@ class DetectorModel:
 
     def record_state(self, label: str) -> StateVector:
         """Ancilla basis vector for an outcome label or the ready label."""
-        return basis_state(self.ancilla_layout, self.record_index(label))
-
-    def ready_state(self) -> StateVector:
-        return basis_state(self.ancilla_layout, self.ready_index)
+        return StateVector(self.ancilla_layout, np.eye(self.ancilla_dim)[self.record_index(label)])
 
 
 def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
@@ -178,9 +156,6 @@ def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
             f"detector factor {det.detector_label!r} has dimension "
             f"{layout.dim_of(det.detector_label)}, expected {det.ancilla_dim}"
         )
-    for label in det.kraus.target_labels:
-        if label not in layout:
-            raise LayoutError(f"Kraus target {label!r} not present in state layout")
 
     report = validate(det.kraus)
     if not report.ok:

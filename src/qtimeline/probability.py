@@ -33,13 +33,20 @@ class ConditioningOnNullEvent(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class OutcomeQuery:
-    """A (possibly partial) detector -> outcome assignment at one clock reading."""
+    """A (possibly partial) detector -> outcome assignment at one clock reading.
+
+    With ``given``, even an empty one, it asks for P(assignments | given);
+    without it, an empty ``assignments`` asks for the full table.
+    """
 
     assignments: Mapping[str, str]
     t: float
+    given: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assignments", dict(self.assignments))
+        if self.given is not None:
+            object.__setattr__(self, "given", dict(self.given))
 
 
 @dataclass(frozen=True)
@@ -164,7 +171,3 @@ def full_table(history: HistoryState, t: float) -> ProbabilityTable:
     rows = tuple((combo, float(value)) for combo, value in zip(itertools.product(*labels.values()), block))
     return ProbabilityTable(history.schedule.detector_labels, rows, t)
 
-
-def clamp_probability(value: float) -> float:
-    """Clip reporting round-off into [0, 1]; raw values stay untouched elsewhere."""
-    return min(max(value, 0.0), 1.0)

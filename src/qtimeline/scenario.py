@@ -22,6 +22,10 @@ Scenarios are JSON with every complex entry written as a two-element
       ]
     }
 
+Each query uses exactly one form: a non-empty ``assignment``, ``target`` with
+``given`` (which may be empty), or ``"full_table": true`` (JSON ``true`` only).
+A query string names each detector at most once on each side of its ``|``.
+
 Hermiticity, Kraus completeness, schedule ordering, and all dimensions are
 validated on load; failures name the offending key.
 """
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,7 @@ from .hilbert import (
     TOL_EQUALITY,
 )
 from .instrument import DetectorModel, KrausSet, validate
+from .probability import OutcomeQuery
 from .timeline import EventSchedule, ScheduleError
 
 
@@ -55,21 +60,12 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class Query:
-    t: float
-    mode: str  # "assignment" | "conditional" | "table"
-    assignment: dict = field(default_factory=dict)
-    target: dict = field(default_factory=dict)
-    given: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Scenario:
     psi0: StateVector
     t0: float
     h_system: Operator
     schedule: EventSchedule
-    queries: tuple[Query, ...]
+    queries: tuple[OutcomeQuery, ...]
 
 
 def _real(value, key: str) -> float:
@@ -237,27 +233,30 @@ def _parse_event(data, layouts_by_label: dict[str, SubsystemLayout], key: str):
     return time, detector
 
 
-def _parse_query(data, schedule: EventSchedule, key: str) -> Query:
+def _parse_query(data, schedule: EventSchedule, key: str) -> OutcomeQuery:
     t = _real(_require(data, "t", key), f"{key}.t")
 
-    modes = [m for m in ("assignment", "target", "full_table") if m in data]
-    if data.get("full_table"):
-        return Query(t, "table")
-    if "target" in data or "given" in data:
+    conditional = "target" in data or "given" in data
+    if ("assignment" in data) + conditional + ("full_table" in data) != 1:
+        forms = [m for m in ("assignment", "target", "given", "full_table") if m in data]
+        raise ScenarioError(key, f"query needs one of 'assignment', 'target'/'given', 'full_table'; got {forms}")
+    if "full_table" in data:
+        if data["full_table"] is not True:
+            raise ScenarioError(f"{key}.full_table", "expected true")
+        return OutcomeQuery({}, t)
+    if conditional:
         target = _str_map(_require(data, "target", key), f"{key}.target")
         given = _str_map(_require(data, "given", key), f"{key}.given")
         _check_names(target, schedule, f"{key}.target")
         _check_names(given, schedule, f"{key}.given")
         if set(target) & set(given):
             raise ScenarioError(key, "target and given must name disjoint detectors")
-        return Query(t, "conditional", target=target, given=given)
-    if "assignment" in data:
-        assignment = _str_map(data["assignment"], f"{key}.assignment")
-        if not assignment:
-            raise ScenarioError(f"{key}.assignment", "must name at least one detector")
-        _check_names(assignment, schedule, f"{key}.assignment")
-        return Query(t, "assignment", assignment=assignment)
-    raise ScenarioError(key, f"query needs one of 'assignment', 'target'/'given', 'full_table'; got {modes}")
+        return OutcomeQuery(target, t, given)
+    assignment = _str_map(data["assignment"], f"{key}.assignment")
+    if not assignment:
+        raise ScenarioError(f"{key}.assignment", "must name at least one detector")
+    _check_names(assignment, schedule, f"{key}.assignment")
+    return OutcomeQuery(assignment, t)
 
 
 def _check_names(assignment: dict[str, str], schedule: EventSchedule, key: str) -> None:
@@ -356,12 +355,12 @@ def scenario_to_data(scenario: Scenario) -> dict:
         )
     queries = []
     for q in scenario.queries:
-        if q.mode == "table":
-            queries.append({"t": q.t, "full_table": True})
-        elif q.mode == "conditional":
-            queries.append({"t": q.t, "target": dict(q.target), "given": dict(q.given)})
+        if q.given is not None:
+            queries.append({"t": q.t, "target": dict(q.assignments), "given": dict(q.given)})
+        elif q.assignments:
+            queries.append({"t": q.t, "assignment": dict(q.assignments)})
         else:
-            queries.append({"t": q.t, "assignment": dict(q.assignment)})
+            queries.append({"t": q.t, "full_table": True})
     return {"system": system, "events": events, "queries": queries}
 
 
@@ -369,7 +368,7 @@ def dump_scenario(scenario: Scenario) -> str:
     return json.dumps(scenario_to_data(scenario), indent=2) + "\n"
 
 
-def parse_query_string(text: str, schedule: EventSchedule) -> Query:
+def parse_query_string(text: str, schedule: EventSchedule) -> OutcomeQuery:
     """Parse compact query syntax: 'F=up,W=yes@t=3.0', 'F=up|W=yes@t=3.0',
     or 'full-table@t=3.0'.  The result is validated as the equivalent JSON query."""
     key = f"query {text!r}"
@@ -388,8 +387,10 @@ def parse_query_string(text: str, schedule: EventSchedule) -> Query:
         for item in chunk.split(","):
             if "=" not in item:
                 raise ScenarioError(key, f"{part} entry {item!r} is not of the form detector=outcome")
-            det, _, outcome = item.partition("=")
-            pairs[det.strip()] = outcome.strip()
+            det, _, outcome = (x.strip() for x in item.partition("="))
+            if det in pairs:
+                raise ScenarioError(key, f"{part} names detector {det!r} twice")
+            pairs[det] = outcome
         return pairs
 
     body = body.strip()

@@ -9,6 +9,7 @@ two event times.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ class WignerScenario:
     t_n: float = 2.0
 
     def __post_init__(self) -> None:
+        if not all(map(cmath.isfinite, (self.a, self.b, self.alpha, self.beta, self.t_m, self.t_n))):
+            raise DomainError("a, b, alpha, beta, t_m and t_n must be finite")
         for name, x, y in (("(a, b)", self.a, self.b), ("(alpha, beta)", self.alpha, self.beta)):
             if abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) > TOL_EQUALITY:
                 raise DomainError(f"amplitudes {name} must satisfy |x|^2 + |y|^2 = 1")

@@ -81,6 +81,19 @@ def test_wigner_rejects_zero_amplitudes(capsys):
     assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--tn", "inf"], ["--tm=-inf"], ["--tn", "1e400"], ["--alpha", "nan"], ["--beta", "inf"]],
+    ids=["tn-inf", "tm-minus-inf", "tn-overflow", "alpha-nan", "beta-inf"],
+)
+def test_wigner_rejects_non_finite_parameters(capsys, flags):
+    assert main(["wigner", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("invalid parameters: ")
+
+
 def test_simulate_runs_file_queries(tmp_path, capsys):
     path = write_scenario(tmp_path)
     csv_path = tmp_path / "out.csv"
@@ -128,6 +141,25 @@ def test_simulate_reports_null_conditioning_and_continues(tmp_path, capsys):
     assert code == 1
     assert "query 0" in captured.err
     assert "M=up,N=up" in captured.out  # later query still ran
+
+
+@pytest.mark.parametrize(
+    "queries, flags",
+    [
+        ([{"t": 3.0, "full_table": "false"}], []),
+        ([{"t": 3.0, "full_table": True, "assignment": {"M": "up"}}], []),
+        ([{"t": 3.0, "assignment": {"M": "up"}, "target": {"N": "up"}, "given": {"M": "up"}}], []),
+        (None, ["--query", "M=up,M=down@t=3"]),
+    ],
+    ids=["full-table-string", "table-and-assignment", "assignment-and-conditional", "detector-twice"],
+)
+def test_simulate_refuses_ambiguous_queries(tmp_path, capsys, queries, flags):
+    path = write_scenario(tmp_path, queries=queries)
+    assert main(["simulate", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "queries[0]" in captured.err or "query 'M=up,M=down@t=3'" in captured.err
 
 
 def test_simulate_bad_file_is_validation_error(tmp_path, capsys):
@@ -195,6 +227,29 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "joint p(f,w)" in proc.stdout
+
+
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+def test_experiment_scripts_run(tmp_path):
+    agreement = subprocess.run(
+        [sys.executable, str(SCRIPTS / "oracle_agreement.py"), "--trials", "5", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert agreement.returncode == 0, agreement.stderr
+    assert "OK: within tolerance" in agreement.stdout
+    out = tmp_path / "sweep.csv"
+    sweep = subprocess.run(
+        [sys.executable, str(SCRIPTS / "wigner_sweep.py"), "--steps", "3", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert sweep.returncode == 0, sweep.stderr
+    assert len(read_csv(out)) == 3
 
 
 def test_package_and_cli_do_not_import_scipy():

@@ -3,28 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtimeline.hilbert import (
-    DomainError,
-    LayoutError,
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    basis_state,
-    embed,
-    tensor,
-)
+from qtimeline.hilbert import LayoutError, Operator, StateVector, SubsystemLayout
 from qtimeline.instrument import (
     DetectorModel,
     KrausSet,
     StateError,
     ValidationError,
     apply_instrument,
-    effect_of,
     validate,
 )
 from qtimeline.sampling import random_complete_kraus, random_state
 
+from reference import basis_state, embed, tensor
+
 S = SubsystemLayout.of(("S", 2))
+
+
+def effect(kraus, outcome):
+    """The POVM effect K^dag K of one outcome, written out here."""
+    k = kraus.operator_for(outcome).matrix
+    return k.conj().T @ k
+
+
+def ready(det):
+    return det.record_state(det.ready_label)
 
 
 def projective_updown():
@@ -64,14 +66,12 @@ def test_kraus_set_rejects_duplicate_outcomes_and_mixed_layouts():
 
 
 def test_effect_of_projective_case():
-    effect = effect_of(projective_updown(), "up")
-    np.testing.assert_allclose(effect.matrix, [[1, 0], [0, 0]], atol=1e-14)
+    np.testing.assert_allclose(effect(projective_updown(), "up"), [[1, 0], [0, 0]], atol=1e-14)
 
 
 def test_effect_of_unitary_kraus_is_identity():
     u = Operator(S, np.array([[0, 1], [1, 0]], dtype=complex))
-    effect = effect_of(KrausSet((("only", u),)), "only")
-    np.testing.assert_allclose(effect.matrix, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(effect(KrausSet((("only", u),)), "only"), np.eye(2), atol=1e-14)
 
 
 def test_effect_of_entangled_projector():
@@ -81,19 +81,19 @@ def test_effect_of_entangled_projector():
     k_yes = np.outer(phi, phi.conj())
     k_no = np.eye(4) - k_yes
     kraus = KrausSet((("yes", Operator(lay, k_yes)), ("no", Operator(lay, k_no))))
-    np.testing.assert_allclose(effect_of(kraus, "yes").matrix, k_yes, atol=1e-12)
+    np.testing.assert_allclose(effect(kraus, "yes"), k_yes, atol=1e-12)
 
 
 def test_effect_of_unknown_outcome_raises_keyerror():
     with pytest.raises(KeyError):
-        effect_of(projective_updown(), "sideways")
+        effect(projective_updown(), "sideways")
 
 
 def test_effects_sum_to_identity_for_random_sets():
     rng = np.random.default_rng(11)
     lay = SubsystemLayout.of(("S", 3))
     kraus = random_complete_kraus(rng, lay, 3)
-    total = sum(effect_of(kraus, label).matrix for label in kraus.outcome_labels)
+    total = sum(effect(kraus, label) for label in kraus.outcome_labels)
     np.testing.assert_allclose(total, np.eye(3), atol=1e-10)
 
 
@@ -103,7 +103,7 @@ def test_detector_default_ancilla_assignment():
     assert det.ready_index == 0
     assert det.outcome_basis["up"] == 1
     assert det.outcome_basis["down"] == 2
-    np.testing.assert_allclose(det.ready_state().amplitudes, [1, 0, 0])
+    np.testing.assert_allclose(ready(det).amplitudes, [1, 0, 0])
     np.testing.assert_allclose(det.record_state("down").amplitudes, [0, 0, 1])
 
 
@@ -123,7 +123,7 @@ def test_detector_record_state_unknown_label():
 def test_apply_instrument_records_superposition():
     a, b = 0.6, 0.8j
     det = DetectorModel("F", projective_updown())
-    state = tensor(StateVector(S, [a, b]), det.ready_state())
+    state = tensor(StateVector(S, [a, b]), ready(det))
     out = apply_instrument(state, det)
     # a|up>|up_F> + b|down>|down_F>; F indices: ready=0, up=1, down=2
     expected = np.zeros(6, dtype=complex)
@@ -134,7 +134,7 @@ def test_apply_instrument_records_superposition():
 
 def test_apply_instrument_eigenstate_input():
     det = DetectorModel("F", projective_updown())
-    state = tensor(basis_state(S, 0), det.ready_state())
+    state = tensor(basis_state(S, 0), ready(det))
     out = apply_instrument(state, det)
     expected = np.zeros(6, dtype=complex)
     expected[1] = 1.0
@@ -152,11 +152,11 @@ def test_apply_instrument_on_entangled_targets():
     alpha, beta = z[2:] / np.linalg.norm(z[2:])
 
     friend = DetectorModel("F", projective_updown())
-    entangled = tensor(StateVector(S, [a, b]), friend.ready_state())
+    entangled = tensor(StateVector(S, [a, b]), ready(friend))
     entangled = apply_instrument(entangled, friend)
 
     wd = wigner_detector(alpha, beta)
-    state = tensor(entangled, wd.ready_state())
+    state = tensor(entangled, ready(wd))
     out = apply_instrument(state, wd)
 
     yes_vec = np.zeros(6, dtype=complex)
@@ -216,7 +216,7 @@ def test_apply_instrument_requires_ready_detector():
 def test_apply_instrument_rejects_incomplete_kraus():
     eye = Operator(S, np.eye(2))
     det = DetectorModel("F", KrausSet((("a", eye), ("b", eye))))
-    state = tensor(basis_state(S, 0), det.ready_state())
+    state = tensor(basis_state(S, 0), ready(det))
     with pytest.raises(ValidationError):
         apply_instrument(state, det)
 
@@ -225,6 +225,8 @@ def test_apply_instrument_requires_detector_factor():
     det = DetectorModel("F", projective_updown())
     with pytest.raises(LayoutError):
         apply_instrument(basis_state(S, 0), det)
+    with pytest.raises(LayoutError, match="no subsystem 'S'"):  # the Kraus target is missing
+        apply_instrument(tensor(basis_state(SubsystemLayout.of(("X", 2)), 0), ready(det)), det)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_outcomes=st.integers(2, 4))
@@ -235,18 +237,11 @@ def test_instrument_preserves_norm_and_matches_effects(seed, n_outcomes):
     kraus = random_complete_kraus(rng, lay, n_outcomes)
     det = DetectorModel("M", kraus)
     psi = random_state(rng, lay)
-    state = tensor(psi, det.ready_state())
+    state = tensor(psi, ready(det))
     out = apply_instrument(state, det)
     assert abs(out.norm - 1.0) < 1e-12
     for label in kraus.outcome_labels:
         weight = np.sum(np.abs(out.as_tensor()[:, det.record_index(label)]) ** 2)
-        effect = effect_of(kraus, label)
-        via_effect = np.vdot(psi.amplitudes, effect.matrix @ psi.amplitudes).real
+        via_effect = np.vdot(psi.amplitudes, effect(kraus, label) @ psi.amplitudes).real
         assert abs(weight - via_effect) < 1e-12
 
-
-def test_effect_rejects_eigenvalues_above_one():
-    with pytest.raises(DomainError):
-        from qtimeline.instrument import Effect
-
-        Effect(S, 2.0 * np.eye(2))

@@ -1,20 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtimeline.hilbert import (
-    LayoutError,
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    basis_state,
-    propagator,
-    tensor,
-)
+from qtimeline.hilbert import LayoutError, Operator, StateVector, SubsystemLayout, propagator
 from qtimeline.instrument import DetectorModel, KrausSet
 from qtimeline.oracle import sequential_born
-from qtimeline.probability import OutcomeQuery, joint
+from qtimeline.probability import OutcomeQuery, conditional, full_table, joint, marginal
 from qtimeline.sampling import (
     random_complete_kraus,
     random_hermitian,
@@ -26,6 +20,7 @@ from qtimeline.timeline import EventSchedule, build_history
 from qtimeline.wigner import friend_detector, wigner_detector
 
 from helpers import all_assignments, closed_form_joint, random_unit_pair
+from reference import basis_state, tensor
 
 S = SubsystemLayout.of(("S", 2))
 
@@ -57,7 +52,7 @@ def test_oracle_reproduces_wigner_grid():
         a, b = random_unit_pair(rng)
         alpha, beta = random_unit_pair(rng)
         fd = friend_detector()
-        psi0 = tensor(StateVector(S, [a, b]), fd.ready_state())
+        psi0 = tensor(StateVector(S, [a, b]), fd.record_state(fd.ready_label))
         schedule = EventSchedule(((1.0, fd), (2.0, wigner_detector(alpha, beta))))
         h_zero = Operator(S, np.zeros((2, 2)))
         expected = closed_form_joint(a, b, alpha, beta)
@@ -133,7 +128,7 @@ def test_oracle_agrees_on_every_accepted_shape(shape):
         targeted = {label for _, det in schedule.events for label in det.kraus.target_labels}
         for _, det in schedule.events:
             if det.detector_label in targeted:
-                psi_first = tensor(psi_first, det.ready_state())
+                psi_first = tensor(psi_first, det.record_state(det.ready_label))
         for assignment in all_assignments(schedule):
             p_history = joint(history, OutcomeQuery(assignment, schedule.times[-1] + 1.0))
             p_oracle = sequential_born(psi_first, sample.h_system, schedule, assignment)
@@ -159,3 +154,58 @@ def test_oracle_rejects_missing_target_factor():
     h_zero = Operator(S, np.zeros((2, 2)))
     with pytest.raises(LayoutError):
         sequential_born(basis_state(S, 0), h_zero, schedule, {"W": "yes"})
+
+
+def oracle_joints(sample, k: int) -> dict[tuple[str, ...], float]:
+    """Oracle joints after the first ``k`` events, keyed like ``full_table`` rows.
+
+    Every detector still to fire shows its ready label.  A fired record that a
+    later fired Kraus acts on can also read its ready label again, so those
+    records range over their ready label as well.
+    """
+    events = sample.schedule.events
+    fired = EventSchedule(events[:k])
+    psi = propagator(sample.h_system, fired.times[0], sample.t0).apply(sample.psi0)
+    targeted = {label for _, det in fired.events for label in det.kraus.target_labels}
+    labels = []
+    for _, det in fired.events:
+        labels.append(det.kraus.outcome_labels)
+        if det.detector_label in targeted:
+            psi = tensor(psi, det.record_state(det.ready_label))
+            labels[-1] += (det.ready_label,)
+    pending = tuple(det.ready_label for _, det in events[k:])
+    return {
+        combo + pending: sequential_born(psi, sample.h_system, fired, dict(zip(fired.detector_labels, combo)))
+        for combo in itertools.product(*labels)
+    }
+
+
+@pytest.mark.parametrize("draw", [random_scenario, random_wide_scenario])
+def test_oracle_agrees_at_every_clock_reading(draw):
+    for seed in range(10):
+        sample = draw(np.random.default_rng([seed, 4]))
+        history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+        times = sample.schedule.times
+        names = sample.schedule.detector_labels
+        for k in range(1, len(times) + 1):
+            t = (times[k - 1] + times[k]) / 2 if k < len(times) else times[-1] + 1.0
+            expected = oracle_joints(sample, k)
+            table = dict(full_table(history, t).rows)
+            for key, value in table.items():
+                assert abs(value - expected[key]) < 1e-10
+            ready = [det.ready_label for _, det in sample.schedule.events]
+            for key in expected.keys() - table.keys():  # a fired record back at its ready label
+                assert any(label == r for label, r in zip(key[:k], ready))
+
+            def oracle(assignment):
+                return sum(p for key, p in expected.items()
+                           if all(key[names.index(d)] == o for d, o in assignment.items()))
+
+            labels = {name: sorted({key[i] for key in expected}) for i, name in enumerate(names)}
+            for d1, d2 in itertools.permutations(names, 2):
+                for o1, o2 in itertools.product(labels[d1], labels[d2]):
+                    given = {d1: o1}
+                    assert abs(marginal(history, OutcomeQuery(given, t)) - oracle(given)) < 1e-10
+                    if oracle(given) > 1e-3:
+                        quotient = oracle({d1: o1, d2: o2}) / oracle(given)
+                        assert abs(conditional(history, {d2: o2}, given, t) - quotient) < 1e-10

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtimeline.hilbert import DensityMatrix, DomainError, Operator, embed, tensor
+from qtimeline.hilbert import DomainError, Operator
 from qtimeline.probability import (
     ConditioningOnNullEvent,
     OutcomeQuery,
@@ -30,6 +30,7 @@ from helpers import (
     closed_form_marginal_w,
     random_unit_pair,
 )
+from reference import embed, tensor
 
 T_LATE = 3.0
 
@@ -224,9 +225,16 @@ def test_chain_consistency(seed):
         assert abs(product - joint(history, OutcomeQuery(assignment, t))) < 1e-12
 
 
+def density_matrix(state):
+    """|psi><psi| of a normalized state, checked to be a trace-one projector."""
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    assert abs(np.trace(rho) - 1.0) < 1e-12 and np.allclose(rho @ rho, rho, atol=1e-12)
+    return rho
+
+
 def _trace_rule_pairs(history, t):
     """(table value, tr(rho Pi)) for every full_table row, Pi the embedded record projector."""
-    rho = DensityMatrix.from_state(state_at(history, t))
+    rho = density_matrix(state_at(history, t))
     table = full_table(history, t)
     for combo, value in table.rows:
         projector = None
@@ -235,7 +243,7 @@ def _trace_rule_pairs(history, t):
             record = det.record_state(outcome).amplitudes
             factor = Operator(det.ancilla_layout, np.outer(record, record.conj()))
             projector = factor if projector is None else tensor(projector, factor)
-        yield value, rho.expectation(embed(projector, table.detectors, history.layout))
+        yield value, np.trace(rho @ embed(projector, table.detectors, history.layout).matrix).real
 
 
 def test_joint_agrees_with_trace_rule():
@@ -247,12 +255,12 @@ def test_joint_agrees_with_trace_rule():
     t = sample.schedule.times[-1] + 1.0
     label = sample.schedule.detector_labels[0]
     det = sample.schedule.detector(label)
-    rho = DensityMatrix.from_state(state_at(history, t))
+    rho = density_matrix(state_at(history, t))
     for outcome in det.kraus.outcome_labels:
         record = det.record_state(outcome)
         projector = np.outer(record.amplitudes, record.amplitudes.conj())
         effect = embed(Operator(det.ancilla_layout, projector), [label], history.layout)
-        via_trace = rho.expectation(effect)
+        via_trace = np.trace(rho @ effect.matrix).real
         via_joint = joint(history, OutcomeQuery({label: outcome}, t))
         assert abs(via_trace - via_joint) < 1e-12
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtimeline.probability import OutcomeQuery
 from qtimeline.scenario import (
     Scenario,
     ScenarioError,
@@ -12,6 +13,7 @@ from qtimeline.scenario import (
     load_scenario,
     parse_query_string,
     parse_scenario,
+    scenario_to_data,
 )
 
 
@@ -52,8 +54,7 @@ def test_parse_minimal_scenario():
     scenario = parse_scenario(qubit_scenario())
     assert scenario.psi0.layout.labels == ("S",)
     assert scenario.schedule.detector_labels == ("M",)
-    assert scenario.queries[0].mode == "assignment"
-    assert scenario.queries[1].mode == "table"
+    assert scenario.queries == (OutcomeQuery({"M": "up"}, 2.0), OutcomeQuery({}, 2.0))
     assert scenario.t0 == 0.0
 
 
@@ -151,10 +152,8 @@ def two_detector_scenario():
 
 def test_query_string_forms():
     scenario = parse_scenario(qubit_scenario())
-    q = parse_query_string("M=up@t=2.5", scenario.schedule)
-    assert q.mode == "assignment" and q.assignment == {"M": "up"} and q.t == 2.5
-    q = parse_query_string("full-table@t=1.0", scenario.schedule)
-    assert q.mode == "table"
+    assert parse_query_string("M=up@t=2.5", scenario.schedule) == OutcomeQuery({"M": "up"}, 2.5)
+    assert parse_query_string("full-table@t=1.0", scenario.schedule) == OutcomeQuery({}, 1.0)
     with pytest.raises(ScenarioError):
         parse_query_string("M=up", scenario.schedule)
     with pytest.raises(ScenarioError):
@@ -166,9 +165,12 @@ def test_query_string_forms():
 def test_query_string_conditional_form():
     scenario = two_detector_scenario()
     q = parse_query_string("M=up|N=down@t=3.0", scenario.schedule)
-    assert q.mode == "conditional"
-    assert q.target == {"M": "up"}
-    assert q.given == {"N": "down"}
+    assert q == OutcomeQuery({"M": "up"}, 3.0, given={"N": "down"})
+    # An empty given stays a conditional, apart from the marginal of the target.
+    data = qubit_scenario(queries=[{"t": 3.0, "target": {"M": "up"}, "given": {}}])
+    (q,) = parse_scenario(data).queries
+    assert q.given == {} and q != OutcomeQuery({"M": "up"}, 3.0)
+    assert scenario_to_data(parse_scenario(data))["queries"] == data["queries"]
 
 
 NAN = float("nan")
@@ -229,6 +231,30 @@ def test_query_string_is_validated_as_json_query():
         parse_query_string("M=up|N=sideways@t=3.0", scenario.schedule)
     with pytest.raises(ScenarioError, match="disjoint"):
         parse_query_string("M=up|M=down@t=3.0", scenario.schedule)
+
+
+@pytest.mark.parametrize(
+    "query, key",
+    [
+        ({"full_table": "false"}, r"queries\[0\]\.full_table: expected true"),
+        ({"full_table": False}, r"queries\[0\]\.full_table: expected true"),
+        ({"full_table": True, "assignment": {"M": "up"}}, r"queries\[0\]: query needs one of"),
+        ({"assignment": {"M": "up"}, "target": {"M": "up"}, "given": {}}, r"queries\[0\]: query needs one of"),
+        ({"assignment": {"M": "up"}, "given": {}}, r"queries\[0\]: query needs one of"),
+        ({}, r"queries\[0\]: query needs one of"),
+    ],
+)
+def test_parse_refuses_all_but_one_query_form(query, key):
+    data = qubit_scenario(queries=[{"t": 1.0, **query}])
+    with pytest.raises(ScenarioError, match=key):
+        parse_scenario(data)
+
+
+def test_query_string_refuses_a_detector_named_twice():
+    schedule = two_detector_scenario().schedule
+    for text in ("M=up,M=down@t=3", "M=up,N=up,M=up@t=3", "N=up|M=up, M=down@t=3"):
+        with pytest.raises(ScenarioError, match="names detector 'M' twice"):
+            parse_query_string(text, schedule)
 
 
 def node_paths(node, prefix=()):

@@ -13,7 +13,6 @@ from qtimeline.hilbert import (
     StateVector,
     SubsystemLayout,
     apply_on,
-    basis_state,
     propagator,
 )
 from qtimeline.instrument import DetectorModel, KrausSet, apply_instrument
@@ -29,6 +28,7 @@ from qtimeline.timeline import (
 from qtimeline.wigner import WignerScenario, build as build_wigner
 
 from helpers import expm_series
+from reference import basis_state
 
 S = SubsystemLayout.of(("S", 2))
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -42,14 +42,12 @@ def test_shipped_detectors_are_complete():
 
 
 def test_yes_effect_is_the_entangled_projector():
-    from qtimeline.instrument import effect_of
-
     rng = np.random.default_rng(19)
     alpha, beta = random_unit_pair(rng)
     yes_vec = np.zeros(6, dtype=complex)
     yes_vec[1], yes_vec[5] = alpha, beta
-    effect = effect_of(wigner_detector(alpha, beta).kraus, "yes")
-    np.testing.assert_allclose(effect.matrix, np.outer(yes_vec, yes_vec.conj()), atol=1e-12)
+    k_yes = wigner_detector(alpha, beta).kraus.operator_for("yes").matrix
+    np.testing.assert_allclose(k_yes.conj().T @ k_yes, np.outer(yes_vec, yes_vec.conj()), atol=1e-12)
 
 
 def test_build_with_a_equal_one_matches_hand_expansion():
