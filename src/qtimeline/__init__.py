@@ -42,7 +42,6 @@ from .timeline import (
     EventSchedule,
     HistoryState,
     ScheduleError,
-    Segment,
     build_history,
     constraint_residual,
     state_at,
@@ -61,7 +60,6 @@ __all__ = [
     "OutcomeQuery",
     "ProbabilityTable",
     "ScheduleError",
-    "Segment",
     "StateError",
     "StateVector",
     "SubsystemLayout",

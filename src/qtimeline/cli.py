@@ -2,13 +2,14 @@
 
 Subcommands: ``simulate <file>``, ``wigner [param flags]``, ``validate <file>``,
 ``export <file>``.  Exit codes: 0 ok, 1 runtime query error, 2 validation
-error.
+error or a file that cannot be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -68,12 +69,23 @@ def _evaluate_query(history: HistoryState, query: OutcomeQuery) -> list[ResultRo
     return [_result_row(query.t, "marginal", marginal(history, query), order, query.assignments)]
 
 
-def _write_csv(path: str, rows: list[ResultRow]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "assignment", "kind", "value"])
-        for row in rows:
-            writer.writerow([f"{row.t:g}", row.assignment, row.kind, _fmt(row.value, CSV_DIGITS)])
+def _csv_text(rows: list[ResultRow]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["t", "assignment", "kind", "value"])
+    writer.writerows([f"{row.t:g}", row.assignment, row.kind, _fmt(row.value, CSV_DIGITS)] for row in rows)
+    return buffer.getvalue()
+
+
+def _write_output(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; False, after one stderr line, if it cannot be written."""
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as err:
+        print(f"{path}: {err}", file=sys.stderr)
+        return False
+    return True
 
 
 def _print_rows(rows: list[ResultRow]) -> None:
@@ -120,8 +132,8 @@ def _cmd_simulate(args) -> int:
             _print_rows(rows)
         all_rows.extend(rows)
 
-    if args.csv:
-        _write_csv(args.csv, all_rows)
+    if args.csv and not _write_output(args.csv, _csv_text(all_rows)):
+        return 2
     return 1 if failed else 0
 
 
@@ -209,7 +221,8 @@ def _cmd_wigner(args) -> int:
             for table, kind in grids
             for key, value in table.rows
         ]
-        _write_csv(args.csv, rows)
+        if not _write_output(args.csv, _csv_text(rows)):
+            return 2
     return 0
 
 
@@ -234,10 +247,8 @@ def _cmd_export(args) -> int:
         return 2
     text = dump_scenario(scenario)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        return 0 if _write_output(args.out, text) else 2
+    sys.stdout.write(text)
     return 0
 
 

@@ -1,6 +1,6 @@
-"""Generalized measurements: outcome-labeled Kraus families, their
-completeness check, and the unitary recording map onto an orthogonal detector
-ancilla."""
+"""Generalized measurements: outcome-labeled Kraus families, detectors that
+are complete by construction, and the unitary recording map onto an orthogonal
+detector ancilla."""
 
 from __future__ import annotations
 
@@ -91,6 +91,7 @@ class DetectorModel:
     The ancilla has one basis state per outcome plus a dedicated ready state,
     mutually orthonormal in the standard basis, so outcome records are exactly
     distinguishable and carry zero weight before the measurement happens.
+    Construction checks completeness once, so every detector is a complete POVM.
     """
 
     detector_label: str
@@ -116,6 +117,11 @@ class DetectorModel:
             raise ValidationError(f"ready label {self.ready_label!r} collides with an outcome label")
         if self.detector_label in self.kraus.target_labels:
             raise LayoutError("a detector cannot target its own ancilla factor")
+        report = validate(self.kraus)
+        if not report.ok:
+            raise ValidationError(
+                f"completeness violated by {report.max_deviation:.1e} at detector {self.detector_label!r}"
+            )
 
     @property
     def ancilla_dim(self) -> int:
@@ -145,25 +151,16 @@ class DetectorModel:
 def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
     """Record one measurement: psi (x) |r> -> sum_m (K_m psi) (x) |m>.
 
-    The detector factor of ``state`` must be in the ready state and the Kraus
-    family complete; then the map is an isometry and the norm is preserved.
+    The detector factor of ``state`` must be in the ready state; a detector is
+    complete by construction, so the map is an isometry and preserves the norm.
     """
     layout = state.layout
-    if det.detector_label not in layout:
-        raise LayoutError(f"state has no detector factor {det.detector_label!r}")
-    if layout.dim_of(det.detector_label) != det.ancilla_dim:
-        raise LayoutError(
-            f"detector factor {det.detector_label!r} has dimension "
-            f"{layout.dim_of(det.detector_label)}, expected {det.ancilla_dim}"
-        )
-
-    report = validate(det.kraus)
-    if not report.ok:
-        raise ValidationError(
-            f"completeness violated by {report.max_deviation:.1e} at detector {det.detector_label!r}"
-        )
-
     ax = layout.axis(det.detector_label)
+    if layout.dims[ax] != det.ancilla_dim:
+        raise LayoutError(
+            f"detector factor {det.detector_label!r} has dimension {layout.dims[ax]}, expected {det.ancilla_dim}"
+        )
+
     tens = state.as_tensor()
     moved = np.moveaxis(tens, ax, -1)
     off_ready = np.delete(moved, det.ready_index, axis=-1)

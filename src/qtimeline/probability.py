@@ -87,8 +87,8 @@ class ProbabilityTable:
 
 
 def _record_weights(history: HistoryState, t: float) -> np.ndarray:
-    """Record-weight tensor of the segment covering ``t``: one axis per detector."""
-    anchor = history.segment_at(t).anchor_state
+    """Record-weight tensor of the segment holding ``t``: one axis per detector."""
+    anchor = history.anchors[history.segment_at(t)]
     system_axes = tuple(range(len(history.h_system.layout.factors)))
     return (np.abs(anchor.as_tensor()) ** 2).sum(axis=system_axes)
 
@@ -146,28 +146,30 @@ def conditional(
 
 
 def outcome_labels_at(history: HistoryState, t: float) -> dict[str, tuple[str, ...]]:
-    """Labels each detector can show at time t: its outcomes once fired, else ready."""
-    labels: dict[str, tuple[str, ...]] = {}
-    for event_time, det in history.schedule.events:
-        if event_time <= t:
-            labels[det.detector_label] = det.kraus.outcome_labels
-        else:
-            labels[det.detector_label] = (det.ready_label,)
-    return labels
+    """Labels each detector can show at time t: those its full-table rows range over."""
+    table = full_table(history, t)
+    return {d: tuple(dict.fromkeys(key[i] for key, _ in table.rows)) for i, d in enumerate(table.detectors)}
 
 
 def full_table(history: HistoryState, t: float) -> ProbabilityTable:
     """Joint probabilities of every full assignment realizable at time t.
 
-    Detectors whose event lies in the future report their ready label, which
-    carries all of their weight, so the rows always sum to one.
+    A detector shows its ready label until it fires and its outcomes after, plus
+    its ready label while a later Kraus on its record leaves weight in that slot.
+    So the rows always sum to one.
     """
     weights = _record_weights(history, t)
-    labels = outcome_labels_at(history, t)
-    indices = [
-        [det.record_index(label) for label in labels[det.detector_label]] for _, det in history.schedule.events
-    ]
+    events = history.schedule.events
+    targeted = {label for time, det in events if time <= t for label in det.kraus.target_labels}
+    labels = []
+    for axis, (event_time, det) in enumerate(events):
+        if event_time > t:
+            labels.append((det.ready_label,))
+        elif det.detector_label in targeted and np.take(weights, det.ready_index, axis=axis).any():
+            labels.append(det.kraus.outcome_labels + (det.ready_label,))
+        else:
+            labels.append(det.kraus.outcome_labels)
+    indices = [[det.record_index(label) for label in shown] for shown, (_, det) in zip(labels, events)]
     block = weights[np.ix_(*indices)].reshape(-1)
-    rows = tuple((combo, float(value)) for combo, value in zip(itertools.product(*labels.values()), block))
+    rows = tuple((combo, float(value)) for combo, value in zip(itertools.product(*labels), block))
     return ProbabilityTable(history.schedule.detector_labels, rows, t)
-

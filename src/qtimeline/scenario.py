@@ -46,7 +46,7 @@ from .hilbert import (
     SubsystemLayout,
     TOL_EQUALITY,
 )
-from .instrument import DetectorModel, KrausSet, validate
+from .instrument import DetectorModel, KrausSet
 from .probability import OutcomeQuery
 from .timeline import EventSchedule, ScheduleError
 
@@ -215,13 +215,6 @@ def _parse_event(data, layouts_by_label: dict[str, SubsystemLayout], key: str):
         kraus = KrausSet(tuple(entries))
     except (ValueError, LayoutError) as err:
         raise ScenarioError(f"{key}.kraus", str(err)) from None
-
-    report = validate(kraus)
-    if not report.ok:
-        raise ScenarioError(
-            f"{key}.kraus",
-            f"completeness violated by {report.max_deviation:.1e} at detector {name!r}",
-        )
 
     ready_label = data.get("ready_label", "r")
     if not isinstance(ready_label, str) or not ready_label:

@@ -1,10 +1,12 @@
 """Piecewise history states for schedules of instantaneous measurements.
 
 Between measurement events the dynamics is an analytic unitary flow, so the
-global state over all clock readings is represented exactly as half-open time
-segments, each carrying an anchor state on system (x) detector factors.  Time
-is a query parameter: conditioning on a clock reading selects a segment and
-evolves its anchor, and there is no discretized time grid anywhere.
+global state over all clock readings is represented exactly by one anchor
+state on system (x) detector factors per time segment.  The segments are the
+half-open intervals between consecutive event times, and the schedule is the
+one record of where they begin and end.  Time is a query parameter:
+conditioning on a clock reading selects a segment and evolves its anchor, and
+there is no discretized time grid anywhere.
 """
 
 from __future__ import annotations
@@ -69,55 +71,39 @@ class EventSchedule:
 
 
 @dataclass(frozen=True, eq=False)
-class Segment:
-    """One half-open interval [t_start, t_end) of pure unitary flow."""
-
-    t_start: float
-    t_end: float
-    anchor_time: float
-    anchor_state: StateVector
-
-    def __post_init__(self) -> None:
-        if not self.t_start < self.t_end:
-            raise DomainError(f"empty segment [{self.t_start}, {self.t_end})")
-        if not (self.t_start <= self.anchor_time < self.t_end):
-            raise DomainError("anchor time must lie inside the segment")
-        if not self.anchor_state.is_normalized:
-            raise DomainError("segment anchor state must be normalized")
-
-    def covers(self, t: float) -> bool:
-        return self.t_start <= t < self.t_end
-
-
-@dataclass(frozen=True, eq=False)
 class HistoryState:
-    """The global state over all clock readings, one segment per regime."""
+    """The global state over all clock readings, one anchor per segment.
+
+    Segment k runs from event k (from -inf for k = 0) up to event k+1 (to +inf
+    after the last event); ``anchors[k]`` is its state at ``anchor_time(k)``.
+    """
 
     layout: SubsystemLayout
     h_system: Operator
     schedule: EventSchedule
-    segments: tuple[Segment, ...]
+    t0: float
+    anchors: tuple[StateVector, ...]
 
     def __post_init__(self) -> None:
-        if len(self.segments) != len(self.schedule) + 1:
-            raise DomainError("segment count must be event count + 1")
+        if len(self.anchors) != len(self.schedule) + 1:
+            raise DomainError("anchor count must be event count + 1")
+        if not all(anchor.is_normalized for anchor in self.anchors):
+            raise DomainError("anchor states must be normalized")
 
-    def segment_at(self, t: float) -> Segment:
+    def segment_at(self, t: float) -> int:
+        """Index of the segment holding the clock reading ``t``."""
         # bisect would place NaN after every event time.
         if math.isnan(t):
             raise DomainError("clock reading t is NaN")
-        index = bisect.bisect_right(self.schedule.times, t)
-        return self.segments[index]
+        return bisect.bisect_right(self.schedule.times, t)
+
+    def anchor_time(self, k: int) -> float:
+        return self.t0 if k == 0 else self.schedule.times[k - 1]
 
 
 def history_layout(system: SubsystemLayout, schedule: EventSchedule) -> SubsystemLayout:
     """System factors then one record per event; LayoutError on a label collision,
     DomainError beyond ``MAX_DENSE_DIM``, both before anything is allocated."""
-    seen = set(system.labels)
-    for label in schedule.detector_labels:
-        if label in seen:
-            raise LayoutError(f"detector label {label!r} collides with an existing factor")
-        seen.add(label)
     records = tuple((det.detector_label, det.ancilla_dim) for _, det in schedule.events)
     full = SubsystemLayout(system.factors + records)
     if full.dim > MAX_DENSE_DIM:
@@ -136,20 +122,22 @@ def build_history(
 ) -> HistoryState:
     """Assemble the piecewise history of a schedule of measurements.
 
-    Segment 0 carries ``psi0`` tensored with every detector's ready state,
-    anchored at ``t0``.  Each later segment is produced by freely evolving the
-    previous anchor to the event time and recording that event's outcome set
-    into its ancilla; the final segment extends to +infinity.  Detector
+    Anchor 0 is ``psi0`` tensored with every detector's ready state at
+    ``t0``.  Each later anchor is produced by freely evolving the previous
+    one to the event time and recording that event's outcome set into its
+    ancilla; the final segment extends to +infinity.  Detector
     self-dynamics is trivial, so records persist unchanged once written.
     A history whose dense dimension exceeds ``MAX_DENSE_DIM`` raises
     :class:`DomainError` before any amplitude is allocated.
     """
     if h_system.layout != psi0.layout:
         raise LayoutError("system Hamiltonian must act on the initial state's layout")
-    if not h_system.is_hermitian():
+    if h_system._spectrum is None:
         raise DomainError("system Hamiltonian must be Hermitian")
     if not psi0.is_normalized:
         raise DomainError("initial state must be normalized")
+    if not math.isfinite(t0):
+        raise ScheduleError(f"t0={t0} must be finite")
     if len(schedule) and not t0 < schedule.times[0]:
         raise ScheduleError(f"t0={t0} must precede the first event at {schedule.times[0]}")
 
@@ -157,33 +145,26 @@ def build_history(
     # psi0 (x) |r...r>: psi0 written at every detector's ready index.
     amps = np.zeros((psi0.layout.dim,) + full.dims[len(psi0.layout.factors):], dtype=np.complex128)
     amps[(slice(None),) + tuple(det.ready_index for _, det in schedule.events)] = psi0.amplitudes
-    state = StateVector(full, amps.reshape(-1))
+    anchors = [StateVector(full, amps.reshape(-1))]
 
-    times = schedule.times
-    first_end = times[0] if times else math.inf
-    segments = [Segment(-math.inf, first_end, t0, state)]
+    for (t_k, det), t_prev in zip(schedule.events, (t0,) + schedule.times):
+        evolved = apply_on(propagator(h_system, t_k, t_prev), anchors[-1])
+        anchors.append(apply_instrument(evolved, det))
 
-    for k, (t_k, det) in enumerate(schedule.events):
-        prev = segments[-1]
-        evolved = apply_on(propagator(h_system, t_k, prev.anchor_time), prev.anchor_state)
-        post = apply_instrument(evolved, det)
-        t_end = times[k + 1] if k + 1 < len(times) else math.inf
-        segments.append(Segment(t_k, t_end, t_k, post))
-
-    return HistoryState(full, h_system, schedule, tuple(segments))
+    return HistoryState(full, h_system, schedule, t0, tuple(anchors))
 
 
 def state_at(history: HistoryState, t: float) -> StateVector:
     """Condition the history on the clock reading ``t``.
 
-    Locates the segment covering ``t`` and transports its anchor with the free
+    Locates the segment holding ``t`` and transports its anchor with the free
     propagator, extended by the identity on every detector factor.  The
     amplitudes at t = +-inf are undefined, so ``t`` must be finite.
     """
     if not math.isfinite(t):
         raise DomainError(f"state_at needs a finite clock reading, got t={t}")
-    seg = history.segment_at(t)
-    return apply_on(propagator(history.h_system, t, seg.anchor_time), seg.anchor_state)
+    k = history.segment_at(t)
+    return apply_on(propagator(history.h_system, t, history.anchor_time(k)), history.anchors[k])
 
 
 def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
@@ -195,8 +176,7 @@ def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    seg = history.segment_at(t)
-    if not (seg.covers(t - dt) and seg.covers(t + dt)):
+    if history.segment_at(t - dt) != history.segment_at(t + dt):
         raise DomainError(f"interval [{t - dt}, {t + dt}] straddles an event boundary")
     psi_plus = state_at(history, t + dt).amplitudes
     psi_minus = state_at(history, t - dt).amplitudes

@@ -16,7 +16,7 @@ import numpy as np
 
 from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, TOL_EQUALITY
 from .instrument import DetectorModel, KrausSet
-from .probability import ProbabilityTable, _nonnull, full_table, outcome_labels_at
+from .probability import ProbabilityTable, _nonnull, full_table
 from .timeline import EventSchedule, HistoryState, build_history
 
 SYSTEM = "S"
@@ -120,8 +120,8 @@ def tables(scenario: WignerScenario, t: float) -> WignerTables:
     history = build(scenario)
     joint = full_table(history, t)
     cells = joint.as_dict()
-    labels = outcome_labels_at(history, t)
-    f_labels, w_labels = labels[FRIEND], labels[WIGNER]
+    f_labels = tuple(dict.fromkeys(f for (f, _), _ in joint.rows))
+    w_labels = tuple(dict.fromkeys(w for (_, w), _ in joint.rows))
     p_f = {f: sum(cells[f, w] for w in w_labels) for f in f_labels}
     p_w = {w: sum(cells[f, w] for f in f_labels) for w in w_labels}
     cond_w_rows = []

@@ -210,6 +210,46 @@ def test_export_roundtrip(tmp_path, capsys):
     assert exported.read_text() == again.read_text()
 
 
+def test_simulate_checks_completeness_once_per_event(tmp_path, capsys, monkeypatch):
+    from qtimeline import instrument
+
+    data = json.loads(write_scenario(tmp_path).read_text())
+    data["events"].append({"time": 2.5, "detector": "P", "targets": ["S"], "kraus": projective_kraus()})
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(data))
+    calls = []
+    real = instrument.validate
+
+    def counting(kraus):
+        calls.append(kraus)
+        return real(kraus)
+
+    for name, module in list(sys.modules.items()):  # every binding of the name, wherever imported
+        if name.startswith("qtimeline") and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    assert main(["simulate", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command", ["export", "simulate", "wigner"])
+def test_unwritable_output_path_is_validation_error(tmp_path, command):
+    out = tmp_path / "missing" / "out.txt"
+    scenario = str(write_scenario(tmp_path))
+    argv = {
+        "export": ["export", scenario, "--out", str(out)],
+        "simulate": ["simulate", scenario, "--csv", str(out)],
+        "wigner": ["wigner", "--csv", str(out)],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtimeline.cli", *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"{out}: ")
+
+
 def child_env():
     """Environment in which a fresh interpreter imports the qtimeline under test."""
     env = dict(os.environ)

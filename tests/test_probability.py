@@ -17,7 +17,7 @@ from qtimeline.probability import (
     marginal,
     outcome_labels_at,
 )
-from qtimeline.sampling import random_scenario
+from qtimeline.sampling import random_scenario, random_wide_scenario
 from qtimeline.timeline import build_history, state_at
 from qtimeline.wigner import WignerScenario, build as build_wigner
 
@@ -187,6 +187,17 @@ def test_full_table_rows_sum_to_one_in_every_regime(seed, t):
     sample = random_scenario(rng, events_range=(1, 2))
     history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
     assert abs(full_table(history, t).total - 1.0) < 1e-12
+
+
+def test_full_table_sums_to_one_when_a_later_kraus_targets_a_record():
+    # A Kraus on an earlier record can move its weight back into the ready slot.
+    for seed in range(12):
+        sample = random_wide_scenario(np.random.default_rng([seed, 4]))
+        history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+        times = sample.schedule.times
+        readings = [times[0] - 0.5, *((t1 + t2) / 2 for t1, t2 in zip(times, times[1:])), times[-1] + 1.0]
+        for t in readings:
+            assert abs(full_table(history, t).total - 1.0) < 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -78,7 +78,7 @@ def test_parse_reports_incomplete_kraus_with_detector_name():
         {"outcome": "a", "matrix": [[pair(1), pair(0)], [pair(0), pair(1)]]},
         {"outcome": "b", "matrix": [[pair(1), pair(0)], [pair(0), pair(1)]]},
     ]
-    with pytest.raises(ScenarioError, match=r"events\[0\].kraus: completeness violated by 1.0e\+00 at detector 'M'"):
+    with pytest.raises(ScenarioError, match=r"events\[0\]: completeness violated by 1.0e\+00 at detector 'M'"):
         parse_scenario(data)
 
 

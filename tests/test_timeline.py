@@ -62,9 +62,9 @@ def test_empty_schedule_is_pure_free_evolution():
     h = random_hermitian(rng, S)
     psi0 = random_state(rng, S)
     history = build_history(psi0, 0.0, h, EventSchedule(()))
-    assert len(history.segments) == 1
-    assert history.segments[0].t_start == -math.inf
-    assert history.segments[0].t_end == math.inf
+    assert len(history.anchors) == 1 and history.schedule.times == ()
+    assert history.segment_at(-1e300) == history.segment_at(1e300) == 0
+    assert history.anchor_time(0) == 0.0
     for t in (-2.0, 0.0, 1.7):
         expected = expm_series(-1j * np.asarray(h.matrix) * t) @ psi0.amplitudes
         np.testing.assert_allclose(state_at(history, t).amplitudes, expected, atol=1e-12)
@@ -99,10 +99,11 @@ def test_wigner_segment_anchors():
     a, b = z[:2] / np.linalg.norm(z[:2])
     alpha, beta = z[2:] / np.linalg.norm(z[2:])
     history = build_wigner(WignerScenario(a=a, b=b, alpha=alpha, beta=beta, t_m=1.0, t_n=2.0))
-    assert [seg.t_start for seg in history.segments] == [-math.inf, 1.0, 2.0]
+    assert history.schedule.times == (1.0, 2.0)
+    assert [history.anchor_time(k) for k in range(3)] == [0.0, 1.0, 2.0]
 
     # between measurements: a|up,up> + b|down,down> with the last ancilla ready
-    mid = history.segments[1].anchor_state.amplitudes.reshape(2, 3, 3)
+    mid = history.anchors[1].amplitudes.reshape(2, 3, 3)
     expected_mid = np.zeros((2, 3, 3), dtype=complex)
     expected_mid[0, 1, 0] = a
     expected_mid[1, 2, 0] = b
@@ -117,7 +118,7 @@ def test_wigner_segment_anchors():
     sf[1], sf[5] = a, b
     expected_end = np.kron(np.outer(yes_vec, yes_vec.conj()) @ sf, [0, 1, 0])
     expected_end += np.kron(np.outer(no_vec, no_vec.conj()) @ sf, [0, 0, 1])
-    np.testing.assert_allclose(history.segments[2].anchor_state.amplitudes, expected_end, atol=1e-12)
+    np.testing.assert_allclose(history.anchors[2].amplitudes, expected_end, atol=1e-12)
 
 
 def test_state_constant_within_segments_for_zero_hamiltonian():
@@ -132,11 +133,11 @@ def test_half_open_convention_at_event_time():
     history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=1.0, beta=0.0, t_m=1.0, t_n=2.0))
     at_event = state_at(history, 1.0)
     np.testing.assert_allclose(
-        at_event.amplitudes, history.segments[1].anchor_state.amplitudes, atol=1e-14
+        at_event.amplitudes, history.anchors[1].amplitudes, atol=1e-14
     )
     just_before = state_at(history, 1.0 - 1e-9)
     np.testing.assert_allclose(
-        just_before.amplitudes, history.segments[0].anchor_state.amplitudes, atol=1e-14
+        just_before.amplitudes, history.anchors[0].amplitudes, atol=1e-14
     )
 
 
@@ -163,9 +164,11 @@ def test_segment_boundary_consistency():
 @settings(max_examples=60, deadline=None)
 def test_every_time_falls_in_exactly_one_segment(t):
     history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6, t_m=1.0, t_n=2.0))
-    covering = [seg for seg in history.segments if seg.covers(t)]
-    assert len(covering) == 1
-    assert covering[0] is history.segment_at(t)
+    k = history.segment_at(t)
+    if k > 0:  # segment 0 is open to -inf, so t may precede t0
+        assert history.anchor_time(k) <= t
+    if k < len(history.schedule):
+        assert t < history.schedule.times[k]
 
 
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(-10, 10))
@@ -184,6 +187,9 @@ def test_build_history_rejects_bad_inputs():
     sched = EventSchedule(((1.0, projective_detector("M"),),))
     with pytest.raises(ScheduleError):
         build_history(psi0, 1.0, h, sched)  # t0 not before first event
+    for t0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ScheduleError):
+            build_history(psi0, t0, h, EventSchedule(()))  # no event bounds t0
     with pytest.raises(DomainError):
         build_history(StateVector(S, [1, 1]), 0.0, h, sched)  # not normalized
     with pytest.raises(DomainError):
@@ -271,7 +277,7 @@ def test_build_history_runs_one_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     history = build_history(random_state(rng, layout), 0.0, h, EventSchedule(events))
     assert calls == [(4, 4)]
-    assert all(seg.anchor_state.is_normalized for seg in history.segments)
+    assert all(anchor.is_normalized for anchor in history.anchors)
 
 
 def test_too_large_history_fails_before_allocating():
