@@ -22,7 +22,6 @@ from .hilbert import (
 from .instrument import (
     DetectorModel,
     KrausSet,
-    StateError,
     ValidationError,
     ValidationReport,
     apply_instrument,
@@ -60,7 +59,6 @@ __all__ = [
     "OutcomeQuery",
     "ProbabilityTable",
     "ScheduleError",
-    "StateError",
     "StateVector",
     "SubsystemLayout",
     "ValidationError",

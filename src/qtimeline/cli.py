@@ -100,7 +100,7 @@ def _cmd_simulate(args) -> int:
     try:
         scenario = load_scenario(args.file)
         history = build_history(scenario.psi0, scenario.t0, scenario.h_system, scenario.schedule)
-    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the dense dimension limit
+    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the anchor size limit
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
 
@@ -230,7 +230,7 @@ def _cmd_validate(args) -> int:
     try:
         scenario = load_scenario(args.file)
         history_layout(scenario.psi0.layout, scenario.schedule)
-    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the dense dimension limit
+    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the anchor size limit
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
     n_events = len(scenario.schedule)

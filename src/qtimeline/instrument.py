@@ -1,6 +1,14 @@
 """Generalized measurements: outcome-labeled Kraus families, detectors that
-are complete by construction, and the unitary recording map onto an orthogonal
-detector ancilla."""
+are complete by construction, and the recording map that appends a detector's
+outcome record to a state.
+
+A detector's ancilla has a ready state and one orthogonal state per outcome.
+A record is written once, when its detector fires, so the recording map takes
+a state with no factor for the detector and stacks the branches K_m psi along
+a new last axis, one slot per outcome in Kraus order.  The ready slot, always
+empty after the event, is not stored; ``timeline`` adds it back where a later
+Kraus acts on the record.
+"""
 
 from __future__ import annotations
 
@@ -22,10 +30,6 @@ from .hilbert import (
 
 class ValidationError(ValueError):
     """A Kraus family fails a structural requirement (e.g. completeness)."""
-
-
-class StateError(ValueError):
-    """A state does not satisfy an instrument precondition."""
 
 
 @dataclass(frozen=True)
@@ -149,30 +153,15 @@ class DetectorModel:
 
 
 def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
-    """Record one measurement: psi (x) |r> -> sum_m (K_m psi) (x) |m>.
+    """Record one measurement: psi -> sum_m (K_m psi) (x) |m>.
 
-    The detector factor of ``state`` must be in the ready state; a detector is
-    complete by construction, so the map is an isometry and preserves the norm.
+    ``state`` has no factor for the detector, which has not fired yet; the
+    result appends its record as a last factor with one slot per outcome, in
+    Kraus order.  A detector is complete by construction, so the map is an
+    isometry and preserves the norm.
     """
-    layout = state.layout
-    ax = layout.axis(det.detector_label)
-    if layout.dims[ax] != det.ancilla_dim:
-        raise LayoutError(
-            f"detector factor {det.detector_label!r} has dimension {layout.dims[ax]}, expected {det.ancilla_dim}"
-        )
-
-    tens = state.as_tensor()
-    moved = np.moveaxis(tens, ax, -1)
-    off_ready = np.delete(moved, det.ready_index, axis=-1)
-    if off_ready.size and np.max(np.abs(off_ready)) >= TOL_PREDICATE:
-        raise StateError(f"detector {det.detector_label!r} is not in its ready state")
-
-    # Every branch K_m psi in one stacked contraction, written into ancilla slot m.
-    others = [i for i in range(tens.ndim) if i != ax]
+    # A state that already carries the record fails here, as a duplicate label.
+    layout = SubsystemLayout(state.layout.factors + ((det.detector_label, len(det.kraus.outcomes)),))
     stack = np.stack([op.matrix for _, op in det.kraus.outcomes])
-    rest_labels = [layout.labels[i] for i in others]
-    branches = _contract(stack, det.kraus.target_layout, rest_labels, moved[..., det.ready_index])
-    slots = [det.outcome_basis[label] for label in det.kraus.outcome_labels]
-    out = np.zeros(tens.shape, dtype=np.complex128)
-    out.transpose([ax, *others])[slots] = branches
-    return StateVector(layout, out.reshape(-1))
+    branches = _contract(stack, det.kraus.target_layout, state.layout.labels, state.as_tensor())
+    return StateVector(layout, np.moveaxis(branches, 0, -1).reshape(-1))

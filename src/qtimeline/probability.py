@@ -3,11 +3,16 @@
 Every probability here is "at clock reading t".  The Hamiltonian acts on the
 system factors only, so the weight of a detector-record configuration is the
 same anywhere in a segment: the segment anchor's |amplitude|^2 summed over the
-system axes.  That record-weight tensor, with one axis per detector in
-schedule order, is the single primitive.  A joint probability reads one entry,
-a marginal sums over the unnamed detectors, and a conditional is the Bayes
-quotient of two such sums.  Absolute probabilities marginalized over the clock
-are deliberately not offered.
+system axes.  That record-weight tensor is the single primitive.  A joint
+probability reads one entry, a marginal sums over the unnamed detectors, and a
+conditional is the Bayes quotient of two such sums.  Absolute probabilities
+marginalized over the clock are deliberately not offered.
+
+The tensor has one axis per detector fired by t, in schedule order, read by
+its size: a whole-ancilla axis by ``record_index``, an outcome-slot axis by
+the outcome's position in Kraus order, where the ready label reads 0.  A
+detector that has not fired has no axis and reads 1 on its ready label and 0
+on any outcome.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ class ProbabilityTable:
 
 
 def _record_weights(history: HistoryState, t: float) -> np.ndarray:
-    """Record-weight tensor of the segment holding ``t``: one axis per detector."""
+    """Record-weight tensor of the segment holding ``t``: one axis per fired detector."""
     anchor = history.anchors[history.segment_at(t)]
     system_axes = tuple(range(len(history.h_system.layout.factors)))
     return (np.abs(anchor.as_tensor()) ** 2).sum(axis=system_axes)
@@ -99,11 +104,22 @@ def _weight(history: HistoryState, weights: np.ndarray, assignments: Mapping[str
     unknown = set(assignments) - known
     if unknown:
         raise KeyError(f"unknown detectors {sorted(unknown)}; schedule has {sorted(known)}")
-    index = []
-    for _, det in history.schedule.events:
+    index = [slice(None)] * weights.ndim
+    null = False
+    for axis, (_, det) in enumerate(history.schedule.events):
         label = assignments.get(det.detector_label)
-        index.append(slice(None) if label is None else det.record_index(label))
-    return float(weights[tuple(index)].sum())
+        if label is None:
+            continue
+        full_index = det.record_index(label)  # KeyError on an unknown label
+        if axis >= weights.ndim:
+            null |= label != det.ready_label
+        elif weights.shape[axis] == det.ancilla_dim:
+            index[axis] = full_index
+        elif label == det.ready_label:
+            null = True
+        else:
+            index[axis] = det.kraus.outcome_labels.index(label)
+    return 0.0 if null else float(weights[tuple(index)].sum())
 
 
 def _nonnull(weight: float, given: Mapping[str, str], t: float) -> float:
@@ -155,21 +171,24 @@ def full_table(history: HistoryState, t: float) -> ProbabilityTable:
     """Joint probabilities of every full assignment realizable at time t.
 
     A detector shows its ready label until it fires and its outcomes after, plus
-    its ready label while a later Kraus on its record leaves weight in that slot.
-    So the rows always sum to one.
+    its ready label while a later Kraus on its record leaves weight in that slot
+    (only a whole-ancilla axis has that slot).  So the rows always sum to one.
     """
     weights = _record_weights(history, t)
-    events = history.schedule.events
-    targeted = {label for time, det in events if time <= t for label in det.kraus.target_labels}
     labels = []
-    for axis, (event_time, det) in enumerate(events):
-        if event_time > t:
+    indices = []
+    for axis, (_, det) in enumerate(history.schedule.events):
+        if axis >= weights.ndim:
             labels.append((det.ready_label,))
-        elif det.detector_label in targeted and np.take(weights, det.ready_index, axis=axis).any():
-            labels.append(det.kraus.outcome_labels + (det.ready_label,))
+            continue
+        shown = det.kraus.outcome_labels
+        if weights.shape[axis] == det.ancilla_dim:
+            if np.take(weights, det.ready_index, axis=axis).any():
+                shown += (det.ready_label,)
+            indices.append([det.record_index(label) for label in shown])
         else:
-            labels.append(det.kraus.outcome_labels)
-    indices = [[det.record_index(label) for label in shown] for shown, (_, det) in zip(labels, events)]
+            indices.append(range(len(shown)))
+        labels.append(shown)
     block = weights[np.ix_(*indices)].reshape(-1)
     rows = tuple((combo, float(value)) for combo, value in zip(itertools.product(*labels), block))
     return ProbabilityTable(history.schedule.detector_labels, rows, t)

@@ -2,11 +2,19 @@
 
 Between measurement events the dynamics is an analytic unitary flow, so the
 global state over all clock readings is represented exactly by one anchor
-state on system (x) detector factors per time segment.  The segments are the
-half-open intervals between consecutive event times, and the schedule is the
-one record of where they begin and end.  Time is a query parameter:
-conditioning on a clock reading selects a segment and evolves its anchor, and
-there is no discretized time grid anywhere.
+state per time segment.  The segments are the half-open intervals between
+consecutive event times, and the schedule is the one record of where they
+begin and end.  Time is a query parameter: conditioning on a clock reading
+selects a segment and evolves its anchor, and there is no discretized time
+grid anywhere.
+
+An anchor stores only the records that exist: the system factors, then one
+axis per detector fired before it, in schedule order.  That axis holds the
+detector's outcomes in Kraus order, or its whole ancilla basis (ready slot
+included) from the first event whose Kraus acts on the record.  A detector
+that has not fired has no axis; its record is the ready state.
+``HistoryState.layout`` is the full layout, system then every whole ancilla,
+and ``state_at`` zero-pads an anchor to it on demand.
 """
 
 from __future__ import annotations
@@ -28,8 +36,10 @@ from .hilbert import (
 )
 from .instrument import DetectorModel, apply_instrument
 
-# Largest dense dimension build_history accepts: 2**24 complex128 amplitudes
-# are 256 MiB, and a history keeps one such anchor per segment.
+# Largest array a history allocates: 2**24 complex128 amplitudes are 256 MiB.
+# history_layout bounds the last anchor, which no earlier anchor and no
+# intermediate of the build outgrows, and state_at bounds its full-layout
+# padding; both check before they allocate.
 MAX_DENSE_DIM = 2**24
 
 
@@ -75,7 +85,9 @@ class HistoryState:
     """The global state over all clock readings, one anchor per segment.
 
     Segment k runs from event k (from -inf for k = 0) up to event k+1 (to +inf
-    after the last event); ``anchors[k]`` is its state at ``anchor_time(k)``.
+    after the last event); ``anchors[k]`` is its state at ``anchor_time(k)``,
+    over the system factors and the records of the first k detectors.
+    ``layout`` is the full layout that ``state_at`` returns states on.
     """
 
     layout: SubsystemLayout
@@ -102,16 +114,55 @@ class HistoryState:
 
 
 def history_layout(system: SubsystemLayout, schedule: EventSchedule) -> SubsystemLayout:
-    """System factors then one record per event; LayoutError on a label collision,
-    DomainError beyond ``MAX_DENSE_DIM``, both before anything is allocated."""
+    """The full layout: system factors, then every detector's whole ancilla.
+
+    Checks before anything is allocated: labels must not collide and a Kraus
+    may act only on system factors and on records of detectors fired before it
+    (LayoutError); the last, largest anchor ``build_history`` stores, the system
+    times n_out per record or n_out + 1 for a record some Kraus acts on, must
+    not exceed ``MAX_DENSE_DIM`` (DomainError).
+    """
     records = tuple((det.detector_label, det.ancilla_dim) for _, det in schedule.events)
     full = SubsystemLayout(system.factors + records)
-    if full.dim > MAX_DENSE_DIM:
+    present = dict(system.factors)
+    targeted = set()
+    for _, det in schedule.events:
+        for label, dim in det.kraus.target_layout.factors:
+            if present.get(label) != dim:
+                raise LayoutError(
+                    f"detector {det.detector_label!r} acts on factor ({label!r}, {dim}), which is neither "
+                    f"a system factor nor the record of a detector fired before it"
+                )
+        present[det.detector_label] = det.ancilla_dim
+        targeted.update(det.kraus.target_labels)
+    stored = system.dim * math.prod(
+        det.ancilla_dim - (det.detector_label not in targeted) for _, det in schedule.events
+    )
+    if stored > MAX_DENSE_DIM:
         raise DomainError(
-            f"dense dimension {full.dim} of system and detector records exceeds the limit of "
+            f"last anchor of {stored} amplitudes (system and stored records) exceeds the limit of "
             f"{MAX_DENSE_DIM} amplitudes"
         )
     return full
+
+
+def _pad(state: StateVector, layout: SubsystemLayout, schedule: EventSchedule) -> StateVector:
+    """Zero-pad ``state`` into ``layout``, which lists the same factors in order except
+    that a record may be whole where ``state`` stores its outcome slots, and may be
+    absent from ``state``, which then reads as its ready state."""
+    stored = dict(state.layout.factors)
+    index = []
+    for label, dim in layout.factors:
+        if label not in stored:
+            index.append([schedule.detector(label).ready_index])
+        elif stored[label] == dim:
+            index.append(range(dim))
+        else:
+            det = schedule.detector(label)
+            index.append([det.record_index(outcome) for outcome in det.kraus.outcome_labels])
+    out = np.zeros(layout.dims, dtype=np.complex128)
+    out[np.ix_(*index)] = state.amplitudes.reshape([len(i) for i in index])
+    return StateVector(layout, out.reshape(-1))
 
 
 def build_history(
@@ -122,13 +173,14 @@ def build_history(
 ) -> HistoryState:
     """Assemble the piecewise history of a schedule of measurements.
 
-    Anchor 0 is ``psi0`` tensored with every detector's ready state at
-    ``t0``.  Each later anchor is produced by freely evolving the previous
-    one to the event time and recording that event's outcome set into its
-    ancilla; the final segment extends to +infinity.  Detector
-    self-dynamics is trivial, so records persist unchanged once written.
-    A history whose dense dimension exceeds ``MAX_DENSE_DIM`` raises
-    :class:`DomainError` before any amplitude is allocated.
+    Anchor 0 is ``psi0`` at ``t0``: no detector has fired, so it stores no
+    record.  Each later anchor is produced by freely evolving the previous one
+    to the event time, giving every record that event's Kraus acts on its whole
+    ancilla basis, and appending the event's record; the final segment extends
+    to +infinity.  Detector self-dynamics is trivial, so records persist
+    unchanged once written.  A history whose last anchor exceeds
+    ``MAX_DENSE_DIM`` raises :class:`DomainError` before any amplitude is
+    allocated.
     """
     if h_system.layout != psi0.layout:
         raise LayoutError("system Hamiltonian must act on the initial state's layout")
@@ -142,14 +194,14 @@ def build_history(
         raise ScheduleError(f"t0={t0} must precede the first event at {schedule.times[0]}")
 
     full = history_layout(psi0.layout, schedule)
-    # psi0 (x) |r...r>: psi0 written at every detector's ready index.
-    amps = np.zeros((psi0.layout.dim,) + full.dims[len(psi0.layout.factors):], dtype=np.complex128)
-    amps[(slice(None),) + tuple(det.ready_index for _, det in schedule.events)] = psi0.amplitudes
-    anchors = [StateVector(full, amps.reshape(-1))]
-
+    anchors = [psi0]
     for (t_k, det), t_prev in zip(schedule.events, (t0,) + schedule.times):
-        evolved = apply_on(propagator(h_system, t_k, t_prev), anchors[-1])
-        anchors.append(apply_instrument(evolved, det))
+        state = apply_on(propagator(h_system, t_k, t_prev), anchors[-1])
+        targets = dict(det.kraus.target_layout.factors)
+        factors = tuple((label, targets.get(label, dim)) for label, dim in state.layout.factors)
+        if factors != state.layout.factors:
+            state = _pad(state, SubsystemLayout(factors), schedule)
+        anchors.append(apply_instrument(state, det))
 
     return HistoryState(full, h_system, schedule, t0, tuple(anchors))
 
@@ -157,14 +209,21 @@ def build_history(
 def state_at(history: HistoryState, t: float) -> StateVector:
     """Condition the history on the clock reading ``t``.
 
-    Locates the segment holding ``t`` and transports its anchor with the free
-    propagator, extended by the identity on every detector factor.  The
-    amplitudes at t = +-inf are undefined, so ``t`` must be finite.
+    Locates the segment holding ``t``, transports its anchor with the free
+    propagator, extended by the identity on every record, and zero-pads it to
+    the full layout.  The amplitudes at t = +-inf are undefined, so ``t`` must
+    be finite; a full layout beyond ``MAX_DENSE_DIM`` raises
+    :class:`DomainError` before anything is allocated.
     """
     if not math.isfinite(t):
         raise DomainError(f"state_at needs a finite clock reading, got t={t}")
+    if history.layout.dim > MAX_DENSE_DIM:
+        raise DomainError(
+            f"full layout of {history.layout.dim} amplitudes exceeds the limit of {MAX_DENSE_DIM} amplitudes"
+        )
     k = history.segment_at(t)
-    return apply_on(propagator(history.h_system, t, history.anchor_time(k)), history.anchors[k])
+    anchor = apply_on(propagator(history.h_system, t, history.anchor_time(k)), history.anchors[k])
+    return _pad(anchor, history.layout, history.schedule)
 
 
 def constraint_residual(history: HistoryState, t: float, dt: float) -> float:

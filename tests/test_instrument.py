@@ -7,7 +7,6 @@ from qtimeline.hilbert import LayoutError, Operator, StateVector, SubsystemLayou
 from qtimeline.instrument import (
     DetectorModel,
     KrausSet,
-    StateError,
     ValidationError,
     apply_instrument,
     validate,
@@ -27,6 +26,16 @@ def effect(kraus, outcome):
 
 def ready(det):
     return det.record_state(det.ready_label)
+
+
+def whole_record(state, det):
+    """Zero-pad the appended record of ``det`` (outcome slots, Kraus order) into
+    its whole ancilla basis, ready slot empty, written out here."""
+    tens = state.as_tensor()
+    full = np.zeros(tens.shape[:-1] + (det.ancilla_dim,), dtype=complex)
+    for position, label in enumerate(det.kraus.outcome_labels):
+        full[..., det.outcome_basis[label]] = tens[..., position]
+    return StateVector(SubsystemLayout(state.layout.factors[:-1] + det.ancilla_layout.factors), full.reshape(-1))
 
 
 def projective_updown():
@@ -123,22 +132,22 @@ def test_detector_record_state_unknown_label():
 def test_apply_instrument_records_superposition():
     a, b = 0.6, 0.8j
     det = DetectorModel("F", projective_updown())
-    state = tensor(StateVector(S, [a, b]), ready(det))
-    out = apply_instrument(state, det)
-    # a|up>|up_F> + b|down>|down_F>; F indices: ready=0, up=1, down=2
-    expected = np.zeros(6, dtype=complex)
+    out = apply_instrument(StateVector(S, [a, b]), det)
+    # a|up>|up_F> + b|down>|down_F>; the record is appended with slots up=0, down=1
+    assert out.layout == SubsystemLayout.of(("S", 2), ("F", 2))
+    np.testing.assert_allclose(out.amplitudes, [a, 0, 0, b], atol=1e-14)
+    expected = np.zeros(6, dtype=complex)  # F indices in the ancilla: ready=0, up=1, down=2
     expected[0 * 3 + 1] = a
     expected[1 * 3 + 2] = b
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
+    np.testing.assert_allclose(whole_record(out, det).amplitudes, expected, atol=1e-14)
 
 
 def test_apply_instrument_eigenstate_input():
     det = DetectorModel("F", projective_updown())
-    state = tensor(basis_state(S, 0), ready(det))
-    out = apply_instrument(state, det)
+    out = apply_instrument(basis_state(S, 0), det)
     expected = np.zeros(6, dtype=complex)
     expected[1] = 1.0
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
+    np.testing.assert_allclose(whole_record(out, det).amplitudes, expected, atol=1e-14)
 
 
 def test_apply_instrument_on_entangled_targets():
@@ -152,12 +161,10 @@ def test_apply_instrument_on_entangled_targets():
     alpha, beta = z[2:] / np.linalg.norm(z[2:])
 
     friend = DetectorModel("F", projective_updown())
-    entangled = tensor(StateVector(S, [a, b]), ready(friend))
-    entangled = apply_instrument(entangled, friend)
+    entangled = whole_record(apply_instrument(StateVector(S, [a, b]), friend), friend)
 
     wd = wigner_detector(alpha, beta)
-    state = tensor(entangled, ready(wd))
-    out = apply_instrument(state, wd)
+    out = apply_instrument(entangled, wd)
 
     yes_vec = np.zeros(6, dtype=complex)
     yes_vec[1] = alpha
@@ -168,7 +175,7 @@ def test_apply_instrument_on_entangled_targets():
     sf_part = entangled.amplitudes
     expected = np.kron(np.outer(yes_vec, yes_vec.conj()) @ sf_part, [0, 1, 0])
     expected += np.kron(np.outer(no_vec, no_vec.conj()) @ sf_part, [0, 0, 1])
-    np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+    np.testing.assert_allclose(whole_record(out, wd).amplitudes, expected, atol=1e-12)
     # branch weights against the closed-form interference amplitudes
     yes_amp = a * np.conj(alpha) + b * np.conj(beta)
     no_amp = alpha * b - beta * a
@@ -186,31 +193,29 @@ def test_apply_instrument_on_entangled_targets():
     ids=["reversed", "record-cycled", "record-first"],
 )
 def test_apply_instrument_matches_embedded_kraus_reference(targets, n_outcomes, outcome_basis, ready_index):
-    # Layout A, D2, B, D1: the recording detector D2 sits between system
-    # factors, and D1 is an earlier record holding arbitrary amplitudes.
+    # Layout A, B, D1: D1 is an earlier record holding arbitrary amplitudes, and
+    # the record of D2 is appended after it.
     rng = np.random.default_rng(len(targets) + n_outcomes)
     dims = {"A": 2, "B": 3, "D1": 3}
     kraus = random_complete_kraus(rng, SubsystemLayout(tuple((t, dims[t]) for t in targets)), n_outcomes)
     det = DetectorModel("D2", kraus, ready_index=ready_index, outcome_basis=outcome_basis)
-    layout = SubsystemLayout.of(("A", 2), ("D2", det.ancilla_dim), ("B", 3), ("D1", 3))
     rest = SubsystemLayout.of(("A", 2), ("B", 3), ("D1", 3))
     psi_rest = random_state(rng, rest)
-    amps = np.zeros(layout.dims, dtype=complex)
-    amps[:, ready_index] = psi_rest.as_tensor()
-    out = apply_instrument(StateVector(layout, amps.reshape(-1)), det)
+    out = apply_instrument(psi_rest, det)
+    assert out.layout == SubsystemLayout(rest.factors + (("D2", n_outcomes),))
 
-    expected = np.zeros(layout.dims, dtype=complex)
+    expected = np.zeros(rest.dims + (det.ancilla_dim,), dtype=complex)
     for label, op in kraus.outcomes:
         branch = embed(op, targets, rest).apply(psi_rest)
-        expected[:, det.outcome_basis[label]] = branch.as_tensor()
-    np.testing.assert_allclose(out.amplitudes, expected.reshape(-1), rtol=0, atol=1e-12)
+        expected[..., det.outcome_basis[label]] = branch.as_tensor()
+    np.testing.assert_allclose(whole_record(out, det).amplitudes, expected.reshape(-1), rtol=0, atol=1e-12)
 
 
-def test_apply_instrument_requires_ready_detector():
+def test_apply_instrument_refuses_a_state_that_carries_the_record():
     det = DetectorModel("F", projective_updown())
-    not_ready = tensor(basis_state(S, 0), det.record_state("up"))
-    with pytest.raises(StateError):
-        apply_instrument(not_ready, det)
+    for carried in (tensor(basis_state(S, 0), ready(det)), apply_instrument(basis_state(S, 0), det)):
+        with pytest.raises(LayoutError, match="duplicate subsystem labels"):
+            apply_instrument(carried, det)
 
 
 def test_detector_rejects_incomplete_kraus():
@@ -219,12 +224,12 @@ def test_detector_rejects_incomplete_kraus():
         DetectorModel("F", KrausSet((("a", eye), ("b", eye))))
 
 
-def test_apply_instrument_requires_detector_factor():
+def test_apply_instrument_requires_target_factors():
     det = DetectorModel("F", projective_updown())
-    with pytest.raises(LayoutError):
-        apply_instrument(basis_state(S, 0), det)
     with pytest.raises(LayoutError, match="no subsystem 'S'"):  # the Kraus target is missing
-        apply_instrument(tensor(basis_state(SubsystemLayout.of(("X", 2)), 0), ready(det)), det)
+        apply_instrument(basis_state(SubsystemLayout.of(("X", 2)), 0), det)
+    with pytest.raises(LayoutError, match="dimension mismatch for 'S'"):
+        apply_instrument(basis_state(SubsystemLayout.of(("S", 3)), 0), det)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n_outcomes=st.integers(2, 4))
@@ -235,11 +240,10 @@ def test_instrument_preserves_norm_and_matches_effects(seed, n_outcomes):
     kraus = random_complete_kraus(rng, lay, n_outcomes)
     det = DetectorModel("M", kraus)
     psi = random_state(rng, lay)
-    state = tensor(psi, ready(det))
-    out = apply_instrument(state, det)
+    out = apply_instrument(psi, det)
     assert abs(out.norm - 1.0) < 1e-12
-    for label in kraus.outcome_labels:
-        weight = np.sum(np.abs(out.as_tensor()[:, det.record_index(label)]) ** 2)
+    for position, label in enumerate(kraus.outcome_labels):
+        weight = np.sum(np.abs(out.as_tensor()[:, position]) ** 2)
         via_effect = np.vdot(psi.amplitudes, effect(kraus, label) @ psi.amplitudes).real
         assert abs(weight - via_effect) < 1e-12
 

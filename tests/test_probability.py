@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtimeline.hilbert import DomainError, Operator
+from qtimeline.hilbert import DomainError, Operator, StateVector, SubsystemLayout
+from qtimeline.instrument import DetectorModel, KrausSet
 from qtimeline.probability import (
     ConditioningOnNullEvent,
     OutcomeQuery,
@@ -18,7 +19,7 @@ from qtimeline.probability import (
     outcome_labels_at,
 )
 from qtimeline.sampling import random_scenario, random_wide_scenario
-from qtimeline.timeline import build_history, state_at
+from qtimeline.timeline import EventSchedule, build_history, state_at
 from qtimeline.wigner import WignerScenario, build as build_wigner
 
 from helpers import (
@@ -292,6 +293,34 @@ def test_joint_agrees_with_trace_rule():
             assert pairs
             for via_table, via_trace in pairs:
                 assert abs(via_table - via_trace) < 1e-12
+
+
+def test_twenty_repeated_projective_measurements_match_the_closed_form():
+    # A qubit a|up> + b|down> with H = 0, measured 20 times in the same basis.
+    # Stored anchors need at most 2 * 2**20 amplitudes; the whole ancillas would
+    # need 2 * 3**20.  Every record repeats the first outcome.
+    a, b = 0.6, 0.8j
+    S = SubsystemLayout.of(("S", 2))
+    updown = KrausSet((("up", Operator(S, [[1, 0], [0, 0]])), ("down", Operator(S, [[0, 0], [0, 1]]))))
+    labels = [f"M{k}" for k in range(1, 21)]
+    schedule = EventSchedule(tuple((float(k), DetectorModel(label, updown)) for k, label in enumerate(labels, 1)))
+    history = build_history(StateVector(S, [a, b]), 0.0, Operator(S, np.zeros((2, 2))), schedule)
+    assert history.anchors[-1].layout.dim == 2 * 2**20
+
+    def all_show(label, t=25.0):
+        return joint(history, OutcomeQuery({d: label for d in labels}, t))
+
+    assert all_show("up") == pytest.approx(abs(a) ** 2, abs=1e-12)
+    assert all_show("down") == pytest.approx(abs(b) ** 2, abs=1e-12)
+    mixed = {d: ("up" if k % 2 else "down") for k, d in enumerate(labels)}
+    assert joint(history, OutcomeQuery(mixed, 25.0)) == 0.0
+    assert joint(history, OutcomeQuery({**mixed, "M1": "up", "M2": "up"}, 25.0)) == 0.0
+    assert marginal(history, OutcomeQuery({"M7": "up"}, 25.0)) == pytest.approx(abs(a) ** 2, abs=1e-12)
+    # Between events 10 and 11 the later detectors are ready.
+    first_ten = {d: ("up" if k < 10 else "r") for k, d in enumerate(labels)}
+    assert joint(history, OutcomeQuery(first_ten, 10.5)) == pytest.approx(abs(a) ** 2, abs=1e-12)
+    assert marginal(history, OutcomeQuery({"M11": "up"}, 10.5)) == 0.0
+    assert marginal(history, OutcomeQuery({"M11": "r"}, 10.5)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_full_table_at_infinite_clock_readings():

@@ -16,13 +16,14 @@ from qtimeline.hilbert import (
     propagator,
 )
 from qtimeline.instrument import DetectorModel, KrausSet, apply_instrument
-from qtimeline.sampling import random_complete_kraus, random_hermitian, random_state
+from qtimeline.sampling import random_complete_kraus, random_hermitian, random_state, random_wide_scenario
 from qtimeline.timeline import (
     MAX_DENSE_DIM,
     EventSchedule,
     ScheduleError,
     build_history,
     constraint_residual,
+    history_layout,
     state_at,
 )
 from qtimeline.wigner import WignerScenario, build as build_wigner
@@ -103,7 +104,7 @@ def test_wigner_segment_anchors():
     assert [history.anchor_time(k) for k in range(3)] == [0.0, 1.0, 2.0]
 
     # between measurements: a|up,up> + b|down,down> with the last ancilla ready
-    mid = history.anchors[1].amplitudes.reshape(2, 3, 3)
+    mid = state_at(history, 1.5).amplitudes.reshape(2, 3, 3)
     expected_mid = np.zeros((2, 3, 3), dtype=complex)
     expected_mid[0, 1, 0] = a
     expected_mid[1, 2, 0] = b
@@ -118,7 +119,7 @@ def test_wigner_segment_anchors():
     sf[1], sf[5] = a, b
     expected_end = np.kron(np.outer(yes_vec, yes_vec.conj()) @ sf, [0, 1, 0])
     expected_end += np.kron(np.outer(no_vec, no_vec.conj()) @ sf, [0, 0, 1])
-    np.testing.assert_allclose(history.anchors[2].amplitudes, expected_end, atol=1e-12)
+    np.testing.assert_allclose(state_at(history, 2.5).amplitudes, expected_end, atol=1e-12)
 
 
 def test_state_constant_within_segments_for_zero_hamiltonian():
@@ -131,14 +132,15 @@ def test_state_constant_within_segments_for_zero_hamiltonian():
 
 def test_half_open_convention_at_event_time():
     history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=1.0, beta=0.0, t_m=1.0, t_n=2.0))
-    at_event = state_at(history, 1.0)
-    np.testing.assert_allclose(
-        at_event.amplitudes, history.anchors[1].amplitudes, atol=1e-14
-    )
-    just_before = state_at(history, 1.0 - 1e-9)
-    np.testing.assert_allclose(
-        just_before.amplitudes, history.anchors[0].amplitudes, atol=1e-14
-    )
+    assert history.segment_at(1.0) == 1 and history.segment_at(1.0 - 1e-9) == 0
+    # at the event the friend's record is written: 0.6|up,up,r> + 0.8|down,down,r>
+    recorded = np.zeros((2, 3, 3), dtype=complex)
+    recorded[0, 1, 0], recorded[1, 2, 0] = 0.6, 0.8
+    np.testing.assert_allclose(state_at(history, 1.0).amplitudes, recorded.reshape(-1), atol=1e-14)
+    # just before it both detectors are ready: (0.6|up> + 0.8|down>)|r,r>
+    ready = np.zeros((2, 3, 3), dtype=complex)
+    ready[0, 0, 0], ready[1, 0, 0] = 0.6, 0.8
+    np.testing.assert_allclose(state_at(history, 1.0 - 1e-9).amplitudes, ready.reshape(-1), atol=1e-14)
 
 
 def test_segment_boundary_consistency():
@@ -151,13 +153,83 @@ def test_segment_boundary_consistency():
     history = build_history(psi0, 0.0, h, schedule)
 
     for k, (t_k, det) in enumerate(schedule.events):
-        evolved = state_at(history, t_k - 1e-12)  # left limit within previous segment
-        # transport the tiny remaining step exactly, then record
+        left = state_at(history, t_k - 1e-12)  # left limit within previous segment
+        # Drop the ready axes of this detector and the later ones, transport the
+        # tiny remaining step exactly, then record.
+        later = tuple(d.ready_index for _, d in schedule.events[k:])
+        fired = SubsystemLayout(left.layout.factors[: 1 + k])
+        evolved = StateVector(fired, left.as_tensor()[(slice(None),) * (1 + k) + later].reshape(-1))
         evolved = apply_on(propagator(history.h_system, 1e-12, 0.0), evolved)
-        pushed = apply_instrument(evolved, det)
-        np.testing.assert_allclose(
-            pushed.amplitudes, state_at(history, t_k).amplitudes, atol=1e-10
+        branches = apply_instrument(evolved, det).as_tensor()
+        # Write the appended outcome slots at their ancilla indices, later detectors ready.
+        pushed = np.zeros(history.layout.dims, dtype=complex)
+        for position, label in enumerate(det.kraus.outcome_labels):
+            pushed[(...,) + (det.record_index(label),) + later[1:]] = branches[..., position]
+        np.testing.assert_allclose(pushed.reshape(-1), state_at(history, t_k).amplitudes, atol=1e-10)
+
+
+def test_anchor_stores_the_fired_records_only():
+    # Anchor k holds the system and one record per fired detector: n_out slots,
+    # or the whole n_out + 1 ancilla once a Kraus of an event up to k acts on it.
+    samples = [build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6))]
+    for seed in range(12):
+        sample = random_wide_scenario(np.random.default_rng([seed, 4]))
+        samples.append(build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule))
+    assert [anchor.layout.dim for anchor in samples[0].anchors] == [2, 2 * 2, 2 * 3 * 2]
+    wide = 0
+    for history in samples:
+        system = history.h_system.layout
+        events = history.schedule.events
+        for k, anchor in enumerate(history.anchors):
+            acted_on = {label for _, det in events[:k] for label in det.kraus.target_labels}
+            records = tuple(
+                (det.detector_label, det.ancilla_dim - (det.detector_label not in acted_on)) for _, det in events[:k]
+            )
+            assert anchor.layout == SubsystemLayout(system.factors + records)
+            wide += any(det.ancilla_dim == dim for (_, det), (_, dim) in zip(events, records))
+    assert wide  # some draw keeps a whole record
+
+
+@pytest.mark.parametrize("moves_ready_weight", [False, True], ids=["keeps-ready-slot", "moves-ready-slot"])
+def test_kraus_on_a_later_record_fails_before_allocating(moves_ready_weight):
+    # D1 fires at t=1 with a Kraus on S and on the record of D2, which fires at t=2.
+    targets = SubsystemLayout.of(("S", 2), ("D2", 3))
+    on_record = np.roll(np.eye(3), 1, axis=0) if moves_ready_weight else np.eye(3)
+    kraus = KrausSet(
+        (
+            ("up", Operator(targets, np.kron([[1, 0], [0, 0]], on_record))),
+            ("down", Operator(targets, np.kron([[0, 0], [0, 1]], on_record))),
         )
+    )
+    schedule = EventSchedule(((1.0, DetectorModel("D1", kraus)), (2.0, projective_detector("D2"))))
+    message = "detector 'D1' acts on factor \\('D2', 3\\), which is neither a system factor nor the record"
+    with pytest.raises(LayoutError, match=message):
+        history_layout(S, schedule)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LayoutError, match=message):
+            build_history(basis_state(S, 0), 0.0, Operator(S, np.zeros((2, 2))), schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_state_at_refuses_a_full_layout_over_the_limit():
+    # Sixteen binary detectors on a qubit: anchors of at most 2 * 2**16 amplitudes,
+    # but the full layout has 2 * 3**16, over the limit.
+    schedule = EventSchedule(tuple((float(k), projective_detector(f"M{k}")) for k in range(1, 17)))
+    history = build_history(basis_state(S, 0), 0.0, Operator(S, np.zeros((2, 2))), schedule)
+    assert max(anchor.layout.dim for anchor in history.anchors) == 2 * 2**16
+    assert history.layout.dim == 2 * 3**16 > MAX_DENSE_DIM
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            state_at(history, 20.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @given(t=st.floats(-50, 50))
