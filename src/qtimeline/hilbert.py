@@ -34,7 +34,8 @@ class SubsystemLayout:
     """Ordered, uniquely labeled tensor factors.
 
     The factor order is canonical: it fixes the row-major index convention of
-    every state and operator built on the layout.
+    every state and operator built on the layout.  ``labels``, ``dims`` and the
+    product dimension ``dim`` are computed once, on construction.
     """
 
     factors: tuple[tuple[str, int], ...]
@@ -42,27 +43,20 @@ class SubsystemLayout:
     def __post_init__(self) -> None:
         factors = tuple((str(label), int(dim)) for label, dim in self.factors)
         object.__setattr__(self, "factors", factors)
-        labels = [label for label, _ in factors]
+        labels = tuple(label for label, _ in factors)
         if len(set(labels)) != len(labels):
-            raise LayoutError(f"duplicate subsystem labels: {labels}")
-        if any(dim < 1 for _, dim in factors):
+            raise LayoutError(f"duplicate subsystem labels: {list(labels)}")
+        dims = tuple(dim for _, dim in factors)
+        if any(dim < 1 for dim in dims):
             raise LayoutError("every subsystem dimension must be >= 1")
+        # Derived once; plain attributes, not fields, so eq, hash and repr see only ``factors``.
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
 
     @classmethod
     def of(cls, *factors: tuple[str, int]) -> "SubsystemLayout":
         return cls(tuple(factors))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
 
     def __contains__(self, label: str) -> bool:
         return label in self.labels

@@ -40,7 +40,12 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered family of outcome-labeled Kraus operators on shared target factors."""
+    """Ordered family of outcome-labeled Kraus operators on shared target factors.
+
+    ``target_layout``, ``target_labels``, ``outcome_labels`` and ``matrices``,
+    the read-only ``(n_out, d, d)`` stack of the operators in outcome order,
+    are computed once, on construction.
+    """
 
     outcomes: tuple[tuple[str, Operator], ...]
 
@@ -49,25 +54,19 @@ class KrausSet:
         object.__setattr__(self, "outcomes", entries)
         if not entries:
             raise ValidationError("a Kraus set needs at least one outcome")
-        labels = [label for label, _ in entries]
+        labels = tuple(label for label, _ in entries)
         if len(set(labels)) != len(labels):
-            raise ValidationError(f"duplicate outcome labels: {labels}")
+            raise ValidationError(f"duplicate outcome labels: {list(labels)}")
         reference = entries[0][1].layout
         for label, op in entries:
             if op.layout != reference:
                 raise LayoutError(f"Kraus operator for {label!r} is not on layout {reference.labels}")
-
-    @property
-    def target_layout(self) -> SubsystemLayout:
-        return self.outcomes[0][1].layout
-
-    @property
-    def target_labels(self) -> tuple[str, ...]:
-        return self.target_layout.labels
-
-    @property
-    def outcome_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.outcomes)
+        matrices = np.stack([op.matrix for _, op in entries])
+        matrices.setflags(write=False)
+        object.__setattr__(self, "target_layout", reference)
+        object.__setattr__(self, "target_labels", reference.labels)
+        object.__setattr__(self, "outcome_labels", labels)
+        object.__setattr__(self, "matrices", matrices)
 
     def operator_for(self, outcome: str) -> Operator:
         for label, op in self.outcomes:
@@ -79,12 +78,12 @@ class KrausSet:
 def validate(kraus: KrausSet) -> ValidationReport:
     """Check completeness sum(K^dag K) = I; reports the max-norm deviation."""
     dim = kraus.target_layout.dim
-    total = np.zeros((dim, dim), dtype=np.complex128)
+    stacked = kraus.matrices.reshape(-1, dim)
     # Entries near the float limit overflow to inf or nan, which fail the check.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, op in kraus.outcomes:
-            total += op.matrix.conj().T @ op.matrix
-        deviation = float(np.max(np.abs(total - np.eye(dim))))
+        total = stacked.conj().T @ stacked
+        total[np.diag_indices(dim)] -= 1
+        deviation = float(np.max(np.abs(total)))
     return ValidationReport(deviation <= TOL_PREDICATE, deviation)
 
 
@@ -162,6 +161,5 @@ def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
     """
     # A state that already carries the record fails here, as a duplicate label.
     layout = SubsystemLayout(state.layout.factors + ((det.detector_label, len(det.kraus.outcomes)),))
-    stack = np.stack([op.matrix for _, op in det.kraus.outcomes])
-    branches = _contract(stack, det.kraus.target_layout, state.layout.labels, state.as_tensor())
+    branches = _contract(det.kraus.matrices, det.kraus.target_layout, state.layout.labels, state.as_tensor())
     return StateVector(layout, np.moveaxis(branches, 0, -1).reshape(-1))

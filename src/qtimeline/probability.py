@@ -3,10 +3,12 @@
 Every probability here is "at clock reading t".  The Hamiltonian acts on the
 system factors only, so the weight of a detector-record configuration is the
 same anywhere in a segment: the segment anchor's |amplitude|^2 summed over the
-system axes.  That record-weight tensor is the single primitive.  A joint
-probability reads one entry, a marginal sums over the unnamed detectors, and a
-conditional is the Bayes quotient of two such sums.  Absolute probabilities
-marginalized over the clock are deliberately not offered.
+system axes.  That record-weight tensor is the single primitive; the history
+computes it once per anchor when it is built, and every query reads it from
+``HistoryState.record_weights``.  A joint probability reads one entry, a
+marginal sums over the unnamed detectors, and a conditional is the Bayes
+quotient of two such sums.  Absolute probabilities marginalized over the clock
+are deliberately not offered.
 
 The tensor has one axis per detector fired by t, in schedule order, read by
 its size: a whole-ancilla axis by ``record_index``, an outcome-slot axis by
@@ -93,9 +95,7 @@ class ProbabilityTable:
 
 def _record_weights(history: HistoryState, t: float) -> np.ndarray:
     """Record-weight tensor of the segment holding ``t``: one axis per fired detector."""
-    anchor = history.anchors[history.segment_at(t)]
-    system_axes = tuple(range(len(history.h_system.layout.factors)))
-    return (np.abs(anchor.as_tensor()) ** 2).sum(axis=system_axes)
+    return history.record_weights[history.segment_at(t)]
 
 
 def _weight(history: HistoryState, weights: np.ndarray, assignments: Mapping[str, str]) -> float:
@@ -176,19 +176,16 @@ def full_table(history: HistoryState, t: float) -> ProbabilityTable:
     """
     weights = _record_weights(history, t)
     labels = []
-    indices = []
     for axis, (_, det) in enumerate(history.schedule.events):
         if axis >= weights.ndim:
             labels.append((det.ready_label,))
             continue
         shown = det.kraus.outcome_labels
         if weights.shape[axis] == det.ancilla_dim:
+            # A whole-ancilla axis is reordered to the outcomes, then the ready slot if it holds weight.
             if np.take(weights, det.ready_index, axis=axis).any():
                 shown += (det.ready_label,)
-            indices.append([det.record_index(label) for label in shown])
-        else:
-            indices.append(range(len(shown)))
+            weights = np.take(weights, [det.record_index(label) for label in shown], axis=axis)
         labels.append(shown)
-    block = weights[np.ix_(*indices)].reshape(-1)
-    rows = tuple((combo, float(value)) for combo, value in zip(itertools.product(*labels), block))
+    rows = tuple(zip(itertools.product(*labels), np.ravel(weights).tolist()))
     return ProbabilityTable(history.schedule.detector_labels, rows, t)

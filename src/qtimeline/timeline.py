@@ -14,7 +14,8 @@ detector's outcomes in Kraus order, or its whole ancilla basis (ready slot
 included) from the first event whose Kraus acts on the record.  A detector
 that has not fired has no axis; its record is the ready state.
 ``HistoryState.layout`` is the full layout, system then every whole ancilla,
-and ``state_at`` zero-pads an anchor to it on demand.
+and ``state_at`` zero-pads an anchor to it on demand.  The record weights
+every probability reads are computed once per anchor, when the history is built.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
+    TOL_EQUALITY,
     DomainError,
     LayoutError,
     Operator,
@@ -49,26 +51,21 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EventSchedule:
-    """Strictly increasing measurement times with attached detectors."""
+    """Strictly increasing measurement times with attached detectors; ``times``
+    and ``detector_labels`` are computed once, on construction."""
 
     events: tuple[tuple[float, DetectorModel], ...]
 
     def __post_init__(self) -> None:
         entries = tuple((float(t), det) for t, det in self.events)
         object.__setattr__(self, "events", entries)
-        times = [t for t, _ in entries]
+        times = tuple(t for t, _ in entries)
         if not all(math.isfinite(t) for t in times):
-            raise ScheduleError(f"event times must be finite, got {times}")
+            raise ScheduleError(f"event times must be finite, got {list(times)}")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ScheduleError(f"event times must be strictly increasing, got {times}")
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.events)
-
-    @property
-    def detector_labels(self) -> tuple[str, ...]:
-        return tuple(det.detector_label for _, det in self.events)
+            raise ScheduleError(f"event times must be strictly increasing, got {list(times)}")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "detector_labels", tuple(det.detector_label for _, det in entries))
 
     def detector(self, label: str) -> DetectorModel:
         for _, det in self.events:
@@ -87,7 +84,9 @@ class HistoryState:
     Segment k runs from event k (from -inf for k = 0) up to event k+1 (to +inf
     after the last event); ``anchors[k]`` is its state at ``anchor_time(k)``,
     over the system factors and the records of the first k detectors.
-    ``layout`` is the full layout that ``state_at`` returns states on.
+    ``layout`` is the full layout that ``state_at`` returns states on, and
+    ``record_weights[k]``, computed on construction, is the read-only
+    |amplitude|^2 of ``anchors[k]`` summed over the system axes.
     """
 
     layout: SubsystemLayout
@@ -99,8 +98,15 @@ class HistoryState:
     def __post_init__(self) -> None:
         if len(self.anchors) != len(self.schedule) + 1:
             raise DomainError("anchor count must be event count + 1")
-        if not all(anchor.is_normalized for anchor in self.anchors):
-            raise DomainError("anchor states must be normalized")
+        system_axes = tuple(range(len(self.h_system.layout.factors)))
+        weights = []
+        for anchor in self.anchors:
+            w = np.asarray((np.abs(anchor.as_tensor()) ** 2).sum(axis=system_axes))
+            if abs(math.sqrt(w.sum()) - 1.0) > TOL_EQUALITY:
+                raise DomainError("anchor states must be normalized")
+            w.setflags(write=False)
+            weights.append(w)
+        object.__setattr__(self, "record_weights", tuple(weights))
 
     def segment_at(self, t: float) -> int:
         """Index of the segment holding the clock reading ``t``."""
@@ -196,7 +202,9 @@ def build_history(
     full = history_layout(psi0.layout, schedule)
     anchors = [psi0]
     for (t_k, det), t_prev in zip(schedule.events, (t0,) + schedule.times):
-        state = apply_on(propagator(h_system, t_k, t_prev), anchors[-1])
+        # The system factors lead every anchor, so one matmul propagates all records at once.
+        amps = anchors[-1].amplitudes.reshape(psi0.layout.dim, -1)
+        state = StateVector(anchors[-1].layout, (propagator(h_system, t_k, t_prev).matrix @ amps).reshape(-1))
         targets = dict(det.kraus.target_layout.factors)
         factors = tuple((label, targets.get(label, dim)) for label, dim in state.layout.factors)
         if factors != state.layout.factors:
@@ -231,14 +239,17 @@ def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
 
     Uses the symmetric difference over [t-dt, t+dt], which must lie within a
     single segment; the residual is O(dt^2) for the smooth in-segment flow and
-    undefined across an event.
+    undefined across an event.  It evolves the stored anchor: padding to the
+    full layout would not change the norm.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    if history.segment_at(t - dt) != history.segment_at(t + dt):
+    k = history.segment_at(t - dt)
+    if k != history.segment_at(t + dt):
         raise DomainError(f"interval [{t - dt}, {t + dt}] straddles an event boundary")
-    psi_plus = state_at(history, t + dt).amplitudes
-    psi_minus = state_at(history, t - dt).amplitudes
-    h_psi = apply_on(history.h_system, state_at(history, t)).amplitudes
-    residual = 1j * (psi_plus - psi_minus) / (2.0 * dt) - h_psi
+    if not (math.isfinite(t - dt) and math.isfinite(t + dt)):
+        raise DomainError(f"constraint_residual needs finite clock readings, got [{t - dt}, {t + dt}]")
+    h, anchor, t_k = history.h_system, history.anchors[k], history.anchor_time(k)
+    psi_plus, psi_minus, psi = (apply_on(propagator(h, s, t_k), anchor) for s in (t + dt, t - dt, t))
+    residual = 1j * (psi_plus.amplitudes - psi_minus.amplitudes) / (2.0 * dt) - apply_on(h, psi).amplitudes
     return float(np.linalg.norm(residual))

@@ -74,6 +74,30 @@ def test_wigner_subcommand_csv(tmp_path, capsys):
     assert any("|" in r["assignment"] for r in conditional_rows)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (["wigner"], "wigner.out"),
+        (["wigner", "--t", "1.5"], "wigner_t1.5.out"),
+        (["wigner", "--t", "inf"], "wigner_tinf.out"),
+    ],
+)
+def test_wigner_output_matches_golden(args, golden, capsys):
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+def test_simulate_output_matches_golden(tmp_path, capsys):
+    # Two system factors, nonzero H; D3's Kraus acts on S0 and on D1's record.
+    csv_path = tmp_path / "out.csv"
+    assert main(["simulate", str(DATA / "two_factor_wigner.json"), "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "two_factor_wigner.out").read_bytes()
+    assert csv_path.read_bytes() == (DATA / "two_factor_wigner.csv").read_bytes()
+
+
 def test_wigner_rejects_zero_amplitudes(capsys):
     code = main(["wigner", "--a", "0", "--b", "0"])
     err = capsys.readouterr().err

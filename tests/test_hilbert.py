@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,17 @@ def test_layout_dim_is_product():
     assert lay.dim == 24
     assert lay.axis("B") == 1
     assert lay.dim_of("C") == 4
+
+
+def test_layout_derived_attributes_leave_eq_hash_and_repr_alone():
+    lay = SubsystemLayout.of(("A", 2), ("B", 3))
+    twin = SubsystemLayout((("A", 2), ("B", 3)))
+    assert lay.labels == ("A", "B") and lay.dims == (2, 3) and lay.dim == 6
+    assert twin is not lay and twin == lay and hash(twin) == hash(lay)
+    assert hash(lay) == hash((lay.factors,))
+    assert repr(lay) == "SubsystemLayout(factors=(('A', 2), ('B', 3)))"
+    assert [field.name for field in dataclasses.fields(lay)] == ["factors"]
+    assert lay != SubsystemLayout.of(("A", 2), ("B", 2))
 
 
 def test_statevector_length_must_match_layout():

@@ -65,6 +65,14 @@ def test_validate_overcomplete_reports_deviation_one():
     assert report.max_deviation == pytest.approx(1.0)
 
 
+def test_kraus_set_stacks_its_operators_read_only():
+    kraus = projective_updown()
+    assert kraus.target_labels == ("S",) and kraus.outcome_labels == ("up", "down")
+    np.testing.assert_array_equal(kraus.matrices, [op.matrix for _, op in kraus.outcomes])
+    with pytest.raises(ValueError):
+        kraus.matrices[0, 0, 0] = 0
+
+
 def test_kraus_set_rejects_duplicate_outcomes_and_mixed_layouts():
     eye = Operator(S, np.eye(2))
     with pytest.raises(ValidationError):

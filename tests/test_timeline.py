@@ -20,6 +20,7 @@ from qtimeline.sampling import random_complete_kraus, random_hermitian, random_s
 from qtimeline.timeline import (
     MAX_DENSE_DIM,
     EventSchedule,
+    HistoryState,
     ScheduleError,
     build_history,
     constraint_residual,
@@ -190,6 +191,29 @@ def test_anchor_stores_the_fired_records_only():
     assert wide  # some draw keeps a whole record
 
 
+def test_record_weights_are_the_anchor_weights_summed_over_the_system():
+    for seed in range(12):
+        sample = random_wide_scenario(np.random.default_rng([seed, 4]))
+        history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+        system_axes = tuple(range(len(sample.h_system.layout.factors)))
+        assert len(history.record_weights) == len(history.anchors)
+        for anchor, weights in zip(history.anchors, history.record_weights):
+            reference = (np.abs(anchor.as_tensor()) ** 2).sum(axis=system_axes)
+            np.testing.assert_array_equal(weights, reference)
+            with pytest.raises(ValueError):
+                weights[(0,) * weights.ndim] = 0.5
+
+
+def test_history_refuses_an_anchor_that_is_not_normalized():
+    history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6))
+    fields = (history.layout, history.h_system, history.schedule, history.t0)
+    HistoryState(*fields, history.anchors)  # the built anchors pass
+    off = history.anchors[1]
+    anchors = (history.anchors[0], StateVector(off.layout, off.amplitudes * (1 + 1e-9)), history.anchors[2])
+    with pytest.raises(DomainError, match="normalized"):
+        HistoryState(*fields, anchors)
+
+
 @pytest.mark.parametrize("moves_ready_weight", [False, True], ids=["keeps-ready-slot", "moves-ready-slot"])
 def test_kraus_on_a_later_record_fails_before_allocating(moves_ready_weight):
     # D1 fires at t=1 with a Kraus on S and on the record of D2, which fires at t=2.
@@ -303,6 +327,40 @@ def test_constraint_residual_rejects_straddling_interval():
         constraint_residual(history, 1.00005, 1e-3)
     with pytest.raises(DomainError):
         constraint_residual(history, 1.0, -1e-4)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            constraint_residual(history, t, 1e-4)
+
+
+def padded_residual(history, t, dt):
+    """The residual over full-layout states, as ``state_at`` returns them."""
+    plus, minus = state_at(history, t + dt).amplitudes, state_at(history, t - dt).amplitudes
+    h_psi = apply_on(history.h_system, state_at(history, t)).amplitudes
+    return float(np.linalg.norm(1j * (plus - minus) / (2.0 * dt) - h_psi))
+
+
+def test_constraint_residual_equals_the_full_layout_residual():
+    histories = [build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6, t_m=1.0, t_n=2.0))]
+    for seed in range(6):
+        sample = random_wide_scenario(np.random.default_rng([seed, 5]))
+        histories.append(build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule))
+    for history in histories:
+        for t in np.arange(len(history.schedule) + 1) + 0.5:
+            assert abs(constraint_residual(history, t, 1e-3) - padded_residual(history, t, 1e-3)) <= 1e-12
+
+
+def test_constraint_residual_of_a_history_whose_full_layout_is_over_the_limit():
+    # Sixteen binary detectors on a qubit with nonzero H: the full layout, 2 * 3**16,
+    # is over the limit; the last anchor holds 2 * 2**16 amplitudes.
+    psi0 = StateVector(S, np.array([1, 1j]) / np.sqrt(2))
+    h = Operator(S, [[0.3, 1.0], [1.0, -0.3]])
+    schedule = EventSchedule(tuple((float(k), projective_detector(f"M{k}")) for k in range(1, 17)))
+    history = build_history(psi0, 0.0, h, schedule)
+    assert history.layout.dim > MAX_DENSE_DIM
+    dt = 1e-4
+    residual = constraint_residual(history, 20.0, dt)
+    # ||H^3 psi|| <= ||H||^3 = 1.09**1.5 bounds the leading dt^2 / 6 term.
+    assert 0 < residual <= 1.09**1.5 * dt**2 / 6 * 1.001 + 1e-12
 
 
 def test_state_at_needs_a_finite_clock_reading():
