@@ -25,7 +25,7 @@ from .probability import (
     marginal,
 )
 from .scenario import ScenarioError, dump_scenario, load_scenario, parse_query_string
-from .timeline import HistoryState, build_history, history_layout
+from .timeline import HistoryState, ScheduleError, build_history, history_layout
 from .wigner import FRIEND, WIGNER, WignerScenario, tables
 
 PRETTY_DIGITS = 6
@@ -188,7 +188,7 @@ def _cmd_wigner(args) -> int:
     t = args.t if args.t is not None else scenario.t_n + 1.0
     try:
         result = tables(scenario, t)
-    except DomainError as err:  # a NaN clock reading
+    except (DomainError, ScheduleError) as err:  # a NaN clock reading, or no finite t0 before t_m
         print(f"invalid parameters: {err}", file=sys.stderr)
         return 2
     except ConditioningOnNullEvent as err:

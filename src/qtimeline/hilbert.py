@@ -4,6 +4,8 @@ States and operators carry a :class:`SubsystemLayout` naming their tensor
 factors; every structural mismatch surfaces as :class:`LayoutError` instead of
 silent broadcasting.  All values are immutable after construction and every
 operation is a pure function, so concurrent reads need no coordination.
+Operators act on the factors they name by direct contraction (``_contract``);
+no identity-padded matrix is ever built.
 """
 
 from __future__ import annotations
@@ -155,16 +157,6 @@ def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np
     lead = matrices.ndim - 2
     out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:lead] + moved.shape)
     return out.transpose([*range(lead), *(lead + ax for ax in inverse)])
-
-
-def apply_on(op: Operator, state: StateVector) -> StateVector:
-    """Apply ``op`` to the factors of ``state`` named by its layout.
-
-    Contracts the named axes directly; the identity-padded matrix on the full
-    layout is never materialized.
-    """
-    out = _contract(op.matrix, op.layout, state.layout.labels, state.as_tensor())
-    return StateVector(state.layout, out.reshape(-1))
 
 
 def propagator(h: Operator, t: float, t0: float) -> Operator:

@@ -2,19 +2,18 @@
 are complete by construction, and the recording map that appends a detector's
 outcome record to a state.
 
-A detector's ancilla has a ready state and one orthogonal state per outcome.
-A record is written once, when its detector fires, so the recording map takes
-a state with no factor for the detector and stacks the branches K_m psi along
-a new last axis, one slot per outcome in Kraus order.  The ready slot, always
-empty after the event, is not stored; ``timeline`` adds it back where a later
-Kraus acts on the record.
+A detector's ancilla has a fixed basis: the ready state at index 0, then
+outcome i, in Kraus order, at index i + 1.  Which basis vector encodes a label
+carries no physics, so it is not an option.  A record is written once, when its
+detector fires, so the recording map takes a state with no factor for the
+detector and stacks the branches K_m psi along a new last axis, one slot per
+outcome in Kraus order.  The ready slot, always empty after the event, is not
+stored; ``timeline`` adds it back where a later Kraus acts on the record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -91,31 +90,18 @@ def validate(kraus: KrausSet) -> ValidationReport:
 class DetectorModel:
     """A Kraus family plus the ancilla that records its outcomes.
 
-    The ancilla has one basis state per outcome plus a dedicated ready state,
-    mutually orthonormal in the standard basis, so outcome records are exactly
-    distinguishable and carry zero weight before the measurement happens.
+    The ancilla has a dedicated ready state (index 0) plus one basis state per
+    outcome (index i + 1 for outcome i in Kraus order), mutually orthonormal,
+    so outcome records are exactly distinguishable and carry zero weight before
+    the measurement happens.
     Construction checks completeness once, so every detector is a complete POVM.
     """
 
     detector_label: str
     kraus: KrausSet
-    ready_index: int = 0
-    outcome_basis: Mapping[str, int] | None = None
     ready_label: str = "r"
 
     def __post_init__(self) -> None:
-        if self.outcome_basis is None:
-            mapping = {label: i + 1 for i, label in enumerate(self.kraus.outcome_labels)}
-        else:
-            mapping = {str(k): int(v) for k, v in dict(self.outcome_basis).items()}
-        object.__setattr__(self, "outcome_basis", MappingProxyType(mapping))
-        if set(mapping) != set(self.kraus.outcome_labels):
-            raise ValidationError("outcome basis must map exactly the Kraus outcome labels")
-        indices = [self.ready_index, *mapping.values()]
-        if len(set(indices)) != len(indices):
-            raise ValidationError("ready and outcome basis indices must be distinct")
-        if any(i < 0 or i >= self.ancilla_dim for i in indices):
-            raise ValidationError(f"ancilla basis indices must lie in [0, {self.ancilla_dim})")
         if self.ready_label in self.kraus.outcome_labels:
             raise ValidationError(f"ready label {self.ready_label!r} collides with an outcome label")
         if self.detector_label in self.kraus.target_labels:
@@ -135,12 +121,12 @@ class DetectorModel:
         return SubsystemLayout.of((self.detector_label, self.ancilla_dim))
 
     def record_index(self, label: str) -> int:
-        """Ancilla basis index of an outcome label or the ready label."""
+        """Ancilla basis index of a label: 0 for the ready label, i + 1 for outcome i."""
         if label == self.ready_label:
-            return self.ready_index
+            return 0
         try:
-            return self.outcome_basis[label]
-        except KeyError:
+            return self.kraus.outcome_labels.index(label) + 1
+        except ValueError:
             raise KeyError(
                 f"detector {self.detector_label!r} has no outcome {label!r}; "
                 f"have {self.kraus.outcome_labels} and ready label {self.ready_label!r}"

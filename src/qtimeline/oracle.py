@@ -87,7 +87,7 @@ def sequential_born(
             step = np.zeros((state.size, state.size), dtype=np.complex128)
             for outcome_label, op in det.kraus.outcomes:
                 write = np.zeros((det.ancilla_dim, det.ancilla_dim), dtype=np.complex128)
-                write[det.outcome_basis[outcome_label], det.ready_index] = 1.0
+                write[det.record_index(outcome_label), det.record_index(det.ready_label)] = 1.0
                 step += _embed_naive(np.asarray(op.matrix), kraus_axes, dims) @ _embed_naive(
                     write, [record_axis], dims
                 )

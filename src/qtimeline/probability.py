@@ -10,11 +10,10 @@ marginal sums over the unnamed detectors, and a conditional is the Bayes
 quotient of two such sums.  Absolute probabilities marginalized over the clock
 are deliberately not offered.
 
-The tensor has one axis per detector fired by t, in schedule order, read by
-its size: a whole-ancilla axis by ``record_index``, an outcome-slot axis by
-the outcome's position in Kraus order, where the ready label reads 0.  A
-detector that has not fired has no axis and reads 1 on its ready label and 0
-on any outcome.
+The tensor has one axis per scheduled detector, and ``record_labels`` lists
+the labels along each axis, so a record is read by its label alone: no
+ancilla index and no axis size enters here.  A label an axis does not list
+(an outcome of a detector that has not fired, say) weighs 0.
 """
 
 from __future__ import annotations
@@ -93,32 +92,24 @@ class ProbabilityTable:
         return dict(self.rows)
 
 
-def _record_weights(history: HistoryState, t: float) -> np.ndarray:
-    """Record-weight tensor of the segment holding ``t``: one axis per fired detector."""
-    return history.record_weights[history.segment_at(t)]
-
-
-def _weight(history: HistoryState, weights: np.ndarray, assignments: Mapping[str, str]) -> float:
-    """Total weight of the records matching ``assignments``; unnamed detectors are summed."""
+def _weight(history: HistoryState, k: int, assignments: Mapping[str, str]) -> float:
+    """Weight of the records of anchor ``k`` that match ``assignments``; unnamed detectors are summed."""
     known = set(history.schedule.detector_labels)
     unknown = set(assignments) - known
     if unknown:
         raise KeyError(f"unknown detectors {sorted(unknown)}; schedule has {sorted(known)}")
-    index = [slice(None)] * weights.ndim
+    weights, labels = history.record_weights[k], history.record_labels[k]
+    index = [slice(None)] * len(labels)
     null = False
     for axis, (_, det) in enumerate(history.schedule.events):
         label = assignments.get(det.detector_label)
         if label is None:
             continue
-        full_index = det.record_index(label)  # KeyError on an unknown label
-        if axis >= weights.ndim:
-            null |= label != det.ready_label
-        elif weights.shape[axis] == det.ancilla_dim:
-            index[axis] = full_index
-        elif label == det.ready_label:
-            null = True
+        det.record_index(label)  # KeyError on an unknown label
+        if label in labels[axis]:
+            index[axis] = labels[axis].index(label)
         else:
-            index[axis] = det.kraus.outcome_labels.index(label)
+            null = True
     return 0.0 if null else float(weights[tuple(index)].sum())
 
 
@@ -136,14 +127,14 @@ def joint(history: HistoryState, query: OutcomeQuery) -> float:
     missing = set(history.schedule.detector_labels) - set(query.assignments)
     if missing:
         raise KeyError(f"joint requires a full assignment; missing {sorted(missing)}")
-    return _weight(history, _record_weights(history, query.t), query.assignments)
+    return _weight(history, history.segment_at(query.t), query.assignments)
 
 
 def marginal(history: HistoryState, query: OutcomeQuery) -> float:
     """Probability of a partial assignment, summing implicitly over the rest."""
     if not query.assignments:
         raise KeyError("marginal requires at least one named detector")
-    return _weight(history, _record_weights(history, query.t), query.assignments)
+    return _weight(history, history.segment_at(query.t), query.assignments)
 
 
 def conditional(
@@ -156,36 +147,23 @@ def conditional(
     overlap = set(target) & set(given)
     if overlap:
         raise ValueError(f"target and given must name disjoint detectors; both name {sorted(overlap)}")
-    weights = _record_weights(history, t)
-    denominator = _nonnull(_weight(history, weights, given), given, t)
-    return _weight(history, weights, {**target, **given}) / denominator
+    k = history.segment_at(t)
+    denominator = _nonnull(_weight(history, k, given), given, t)
+    return _weight(history, k, {**target, **given}) / denominator
 
 
 def outcome_labels_at(history: HistoryState, t: float) -> dict[str, tuple[str, ...]]:
     """Labels each detector can show at time t: those its full-table rows range over."""
-    table = full_table(history, t)
-    return {d: tuple(dict.fromkeys(key[i] for key, _ in table.rows)) for i, d in enumerate(table.detectors)}
+    return dict(zip(history.schedule.detector_labels, history.record_labels[history.segment_at(t)]))
 
 
 def full_table(history: HistoryState, t: float) -> ProbabilityTable:
     """Joint probabilities of every full assignment realizable at time t.
 
     A detector shows its ready label until it fires and its outcomes after, plus
-    its ready label while a later Kraus on its record leaves weight in that slot
-    (only a whole-ancilla axis has that slot).  So the rows always sum to one.
+    its ready label while a later Kraus on its record leaves weight in that slot.
+    So the rows always sum to one.
     """
-    weights = _record_weights(history, t)
-    labels = []
-    for axis, (_, det) in enumerate(history.schedule.events):
-        if axis >= weights.ndim:
-            labels.append((det.ready_label,))
-            continue
-        shown = det.kraus.outcome_labels
-        if weights.shape[axis] == det.ancilla_dim:
-            # A whole-ancilla axis is reordered to the outcomes, then the ready slot if it holds weight.
-            if np.take(weights, det.ready_index, axis=axis).any():
-                shown += (det.ready_label,)
-            weights = np.take(weights, [det.record_index(label) for label in shown], axis=axis)
-        labels.append(shown)
-    rows = tuple(zip(itertools.product(*labels), np.ravel(weights).tolist()))
+    k = history.segment_at(t)
+    rows = tuple(zip(itertools.product(*history.record_labels[k]), np.ravel(history.record_weights[k]).tolist()))
     return ProbabilityTable(history.schedule.detector_labels, rows, t)

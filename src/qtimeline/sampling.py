@@ -1,13 +1,12 @@
-"""Random states, Hamiltonians, and complete Kraus families for randomized checks."""
+"""Random states, Hamiltonians, complete Kraus families and query-free scenarios for randomized checks."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import Operator, StateVector, SubsystemLayout
 from .instrument import DetectorModel, KrausSet
+from .scenario import Scenario
 from .timeline import EventSchedule
 
 
@@ -47,20 +46,12 @@ def random_complete_kraus(
     return KrausSet(blocks)
 
 
-@dataclass(frozen=True)
-class ScenarioSample:
-    psi0: StateVector
-    t0: float
-    h_system: Operator
-    schedule: EventSchedule
-
-
 def random_scenario(
     rng: np.random.Generator,
     dim_range: tuple[int, int] = (2, 4),
     events_range: tuple[int, int] = (1, 3),
     outcomes_range: tuple[int, int] = (2, 3),
-) -> ScenarioSample:
+) -> Scenario:
     """Single-factor system, detectors D1..Dk at times 1..k, Kraus on the system."""
     dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
     layout = SubsystemLayout.of(("S", dim))
@@ -70,11 +61,12 @@ def random_scenario(
         n_outcomes = int(rng.integers(outcomes_range[0], outcomes_range[1] + 1))
         kraus = random_complete_kraus(rng, layout, n_outcomes)
         events.append((float(k + 1), DetectorModel(f"D{k + 1}", kraus)))
-    return ScenarioSample(
+    return Scenario(
         psi0=random_state(rng, layout),
         t0=0.0,
         h_system=random_hermitian(rng, layout),
         schedule=EventSchedule(tuple(events)),
+        queries=(),
     )
 
 
@@ -83,7 +75,7 @@ def random_wide_scenario(
     factors_range: tuple[int, int] = (1, 3),
     dim_range: tuple[int, int] = (2, 3),
     events_range: tuple[int, int] = (1, 3),
-) -> ScenarioSample:
+) -> Scenario:
     """System factors S0..Sn, detectors D1..Dk at times 1..k with 2-3 outcomes. Each Kraus
     family acts on a random subset of the system factors in random order and, from D2 on
     with probability 1/2, on one earlier detector's record at a random place among them."""
@@ -99,6 +91,6 @@ def random_wide_scenario(
         det = DetectorModel(f"D{k + 1}", random_complete_kraus(rng, target_layout, int(rng.integers(2, 4))))
         dims[det.detector_label] = det.ancilla_dim
         events.append((float(k + 1), det))
-    return ScenarioSample(
-        random_state(rng, layout), 0.0, random_hermitian(rng, layout), EventSchedule(tuple(events))
+    return Scenario(
+        random_state(rng, layout), 0.0, random_hermitian(rng, layout), EventSchedule(tuple(events)), queries=()
     )

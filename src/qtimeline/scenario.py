@@ -48,7 +48,7 @@ from .hilbert import (
 )
 from .instrument import DetectorModel, KrausSet
 from .probability import OutcomeQuery
-from .timeline import EventSchedule, ScheduleError
+from .timeline import EventSchedule, ScheduleError, default_t0
 
 
 class ScenarioError(ValueError):
@@ -294,7 +294,10 @@ def parse_scenario(data) -> Scenario:
         raise ScenarioError("events", str(err)) from None
 
     if t0 is None:
-        t0 = schedule.times[0] - 1.0 if schedule.times else 0.0
+        try:
+            t0 = default_t0(schedule.times[0]) if schedule.times else 0.0
+        except ScheduleError as err:
+            raise ScenarioError("system.t0", str(err)) from None
     elif schedule.times and t0 >= schedule.times[0]:
         raise ScenarioError("system.t0", f"t0={t0} must precede the first event at {schedule.times[0]}")
 

@@ -8,14 +8,15 @@ begin and end.  Time is a query parameter: conditioning on a clock reading
 selects a segment and evolves its anchor, and there is no discretized time
 grid anywhere.
 
-An anchor stores only the records that exist: the system factors, then one
-axis per detector fired before it, in schedule order.  That axis holds the
-detector's outcomes in Kraus order, or its whole ancilla basis (ready slot
-included) from the first event whose Kraus acts on the record.  A detector
-that has not fired has no axis; its record is the ready state.
-``HistoryState.layout`` is the full layout, system then every whole ancilla,
-and ``state_at`` zero-pads an anchor to it on demand.  The record weights
-every probability reads are computed once per anchor, when the history is built.
+This module alone knows how a record is stored.  An ancilla's basis is fixed
+(``DetectorModel.record_index``): ready at index 0, outcome i at index i + 1.
+An anchor stores the system factors, then one axis per detector fired before
+it, in schedule order: its outcome slots 1..n, or its whole ancilla from the
+first event whose Kraus acts on the record.  A detector that has not fired has
+no axis; its record is ready.  ``HistoryState.layout`` is the full layout,
+system then every whole ancilla, and ``state_at`` zero-pads an anchor to it.
+The record weights every probability reads are computed once per anchor and
+keyed by label (``record_labels``), so no reader needs the storage convention.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .hilbert import (
     Operator,
     StateVector,
     SubsystemLayout,
-    apply_on,
     propagator,
 )
 from .instrument import DetectorModel, apply_instrument
@@ -47,6 +47,15 @@ MAX_DENSE_DIM = 2**24
 
 class ScheduleError(ValueError):
     """Event times are not finite and strictly increasing, or t0 is not before them."""
+
+
+def default_t0(first_time: float) -> float:
+    """Start used when none is given: one unit before the first event, or the next float
+    below it once rounding loses that unit (|t| >= 2**53); ScheduleError if none is finite."""
+    t0 = min(first_time - 1.0, math.nextafter(first_time, -math.inf))
+    if not math.isfinite(t0):
+        raise ScheduleError(f"no finite t0 precedes the first event at {first_time}")
+    return t0
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +93,13 @@ class HistoryState:
     Segment k runs from event k (from -inf for k = 0) up to event k+1 (to +inf
     after the last event); ``anchors[k]`` is its state at ``anchor_time(k)``,
     over the system factors and the records of the first k detectors.
-    ``layout`` is the full layout that ``state_at`` returns states on, and
-    ``record_weights[k]``, computed on construction, is the read-only
-    |amplitude|^2 of ``anchors[k]`` summed over the system axes.
+    ``layout`` is the full layout that ``state_at`` returns states on.
+
+    Computed on construction: ``record_weights[k]``, the read-only
+    |amplitude|^2 of ``anchors[k]`` summed over the system axes with one axis
+    per scheduled detector, and ``record_labels[k]``, the labels along each
+    axis: the ready label before the detector fires, its outcomes in Kraus
+    order after, then the ready label while a later Kraus leaves weight there.
     """
 
     layout: SubsystemLayout
@@ -99,14 +112,28 @@ class HistoryState:
         if len(self.anchors) != len(self.schedule) + 1:
             raise DomainError("anchor count must be event count + 1")
         system_axes = tuple(range(len(self.h_system.layout.factors)))
-        weights = []
-        for anchor in self.anchors:
+        detectors = [det for _, det in self.schedule.events]
+        weights, labels = [], []
+        for k, anchor in enumerate(self.anchors):
             w = np.asarray((np.abs(anchor.as_tensor()) ** 2).sum(axis=system_axes))
             if abs(math.sqrt(w.sum()) - 1.0) > TOL_EQUALITY:
                 raise DomainError("anchor states must be normalized")
+            shown = []
+            for axis, det in enumerate(detectors[:k]):
+                outcomes = det.kraus.outcome_labels
+                if w.shape[axis] == det.ancilla_dim:  # a whole ancilla: outcomes, then a ready slot with weight
+                    order = list(range(1, det.ancilla_dim))
+                    if w.take(0, axis=axis).any():
+                        order.append(0)
+                        outcomes += (det.ready_label,)
+                    w = w.take(order, axis=axis)
+                shown.append(outcomes)
+            w = w.reshape(w.shape + (1,) * (len(detectors) - k))
             w.setflags(write=False)
             weights.append(w)
+            labels.append((*shown, *((det.ready_label,) for det in detectors[k:])))
         object.__setattr__(self, "record_weights", tuple(weights))
+        object.__setattr__(self, "record_labels", tuple(labels))
 
     def segment_at(self, t: float) -> int:
         """Index of the segment holding the clock reading ``t``."""
@@ -152,23 +179,22 @@ def history_layout(system: SubsystemLayout, schedule: EventSchedule) -> Subsyste
     return full
 
 
-def _pad(state: StateVector, layout: SubsystemLayout, schedule: EventSchedule) -> StateVector:
+def _pad(state: StateVector, layout: SubsystemLayout) -> StateVector:
     """Zero-pad ``state`` into ``layout``, which lists the same factors in order except
-    that a record may be whole where ``state`` stores its outcome slots, and may be
-    absent from ``state``, which then reads as its ready state."""
+    that a record may be whole where ``state`` stores its outcome slots (indices 1..n),
+    and may be absent from ``state``, which then reads as its ready state (index 0)."""
     stored = dict(state.layout.factors)
-    index = []
-    for label, dim in layout.factors:
-        if label not in stored:
-            index.append([schedule.detector(label).ready_index])
-        elif stored[label] == dim:
-            index.append(range(dim))
-        else:
-            det = schedule.detector(label)
-            index.append([det.record_index(outcome) for outcome in det.kraus.outcome_labels])
+    index = [range(dim - stored[label], dim) if label in stored else [0] for label, dim in layout.factors]
     out = np.zeros(layout.dims, dtype=np.complex128)
     out[np.ix_(*index)] = state.amplitudes.reshape([len(i) for i in index])
     return StateVector(layout, out.reshape(-1))
+
+
+def _evolve(h: Operator, state: StateVector, t: float, t_from: float) -> StateVector:
+    """``state`` carried from ``t_from`` to ``t`` by the free flow of ``h``.  The system
+    factors lead every anchor, so one matmul on the system rows moves every record along."""
+    rows = state.amplitudes.reshape(h.layout.dim, -1)
+    return StateVector(state.layout, (propagator(h, t, t_from).matrix @ rows).reshape(-1))
 
 
 def build_history(
@@ -202,13 +228,11 @@ def build_history(
     full = history_layout(psi0.layout, schedule)
     anchors = [psi0]
     for (t_k, det), t_prev in zip(schedule.events, (t0,) + schedule.times):
-        # The system factors lead every anchor, so one matmul propagates all records at once.
-        amps = anchors[-1].amplitudes.reshape(psi0.layout.dim, -1)
-        state = StateVector(anchors[-1].layout, (propagator(h_system, t_k, t_prev).matrix @ amps).reshape(-1))
+        state = _evolve(h_system, anchors[-1], t_k, t_prev)
         targets = dict(det.kraus.target_layout.factors)
         factors = tuple((label, targets.get(label, dim)) for label, dim in state.layout.factors)
         if factors != state.layout.factors:
-            state = _pad(state, SubsystemLayout(factors), schedule)
+            state = _pad(state, SubsystemLayout(factors))
         anchors.append(apply_instrument(state, det))
 
     return HistoryState(full, h_system, schedule, t0, tuple(anchors))
@@ -230,8 +254,7 @@ def state_at(history: HistoryState, t: float) -> StateVector:
             f"full layout of {history.layout.dim} amplitudes exceeds the limit of {MAX_DENSE_DIM} amplitudes"
         )
     k = history.segment_at(t)
-    anchor = apply_on(propagator(history.h_system, t, history.anchor_time(k)), history.anchors[k])
-    return _pad(anchor, history.layout, history.schedule)
+    return _pad(_evolve(history.h_system, history.anchors[k], t, history.anchor_time(k)), history.layout)
 
 
 def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
@@ -250,6 +273,7 @@ def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
     if not (math.isfinite(t - dt) and math.isfinite(t + dt)):
         raise DomainError(f"constraint_residual needs finite clock readings, got [{t - dt}, {t + dt}]")
     h, anchor, t_k = history.h_system, history.anchors[k], history.anchor_time(k)
-    psi_plus, psi_minus, psi = (apply_on(propagator(h, s, t_k), anchor) for s in (t + dt, t - dt, t))
-    residual = 1j * (psi_plus.amplitudes - psi_minus.amplitudes) / (2.0 * dt) - apply_on(h, psi).amplitudes
+    psi_plus, psi_minus, psi = (_evolve(h, anchor, s, t_k).amplitudes for s in (t + dt, t - dt, t))
+    h_psi = h.matrix @ psi.reshape(h.layout.dim, -1)
+    residual = 1j * (psi_plus - psi_minus) / (2.0 * dt) - h_psi.reshape(-1)
     return float(np.linalg.norm(residual))

@@ -17,7 +17,7 @@ import numpy as np
 from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, TOL_EQUALITY
 from .instrument import DetectorModel, KrausSet
 from .probability import ProbabilityTable, _nonnull, full_table
-from .timeline import EventSchedule, HistoryState, build_history
+from .timeline import EventSchedule, HistoryState, build_history, default_t0
 
 SYSTEM = "S"
 FRIEND = "F"
@@ -98,8 +98,7 @@ def build(scenario: WignerScenario) -> HistoryState:
             (scenario.t_n, wigner_detector(scenario.alpha, scenario.beta)),
         )
     )
-    t0 = 0.0 if scenario.t_m > 0 else scenario.t_m - 1.0
-    return build_history(psi0, t0, h_zero, schedule)
+    return build_history(psi0, default_t0(scenario.t_m), h_zero, schedule)
 
 
 @dataclass(frozen=True)

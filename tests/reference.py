@@ -1,7 +1,7 @@
 """Plain-numpy references that the unit tests compare the package against.
 
 ``embed`` writes an operator out as the explicit identity-padded matrix on a
-full layout, the route that ``hilbert.apply_on`` avoids; ``tensor`` is the
+full layout, the route that the package's contractions avoid; ``tensor`` is the
 Kronecker product of two states or two operators.  None of this calls the
 code paths under test.
 """

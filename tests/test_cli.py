@@ -424,3 +424,49 @@ def test_wigner_clock_reading_nan_and_inf(capsys):
     out = capsys.readouterr().out
     assert "joint p(f,w) at t=inf" in out
     assert "0.5" in out and "nan" not in out
+
+
+def without_t0(tmp_path, first_time):
+    """The two-event scenario with no ``t0`` and its first event moved to ``first_time``."""
+    data = json.loads(write_scenario(tmp_path).read_text())
+    del data["system"]["t0"]
+    data["events"][0]["time"] = first_time
+    path = tmp_path / "no_t0.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_wigner_default_t0_precedes_a_friend_time_beyond_2_pow_53(capsys):
+    # t_m - 1 rounds back to t_m once |t_m| >= 2**53; the default start must still precede it.
+    assert main(["wigner", "--tm=-1", "--tn=1"]) == 0
+    near = capsys.readouterr()
+    assert main(["wigner", "--tm=-1e17", "--tn=1"]) == 0
+    far = capsys.readouterr()
+    assert far.out == near.out and far.err == ""
+
+
+def test_file_default_t0_precedes_a_first_event_beyond_2_pow_53(tmp_path, capsys):
+    path = without_t0(tmp_path, -1e17)
+    assert main(["validate", str(path)]) == 0
+    assert main(["simulate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "M=up,N=up" in out and capsys.readouterr().err == ""
+    assert main(["export", str(path)]) == 0
+    t0 = json.loads(capsys.readouterr().out)["system"]["t0"]
+    assert t0 < -1e17
+
+
+@pytest.mark.parametrize("command", ["wigner", "simulate", "validate"])
+def test_no_finite_default_t0_is_a_validation_error(tmp_path, capsys, command):
+    lowest = -sys.float_info.max
+    if command == "wigner":
+        args = ["wigner", f"--tm={lowest!r}"]
+    else:
+        args = [command, str(without_t0(tmp_path, lowest))]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "no finite t0 precedes the first event" in captured.err
+    if command != "wigner":
+        assert "system.t0" in captured.err

@@ -34,7 +34,7 @@ def whole_record(state, det):
     tens = state.as_tensor()
     full = np.zeros(tens.shape[:-1] + (det.ancilla_dim,), dtype=complex)
     for position, label in enumerate(det.kraus.outcome_labels):
-        full[..., det.outcome_basis[label]] = tens[..., position]
+        full[..., det.record_index(label)] = tens[..., position]
     return StateVector(SubsystemLayout(state.layout.factors[:-1] + det.ancilla_layout.factors), full.reshape(-1))
 
 
@@ -115,20 +115,14 @@ def test_effects_sum_to_identity_for_random_sets():
 
 
 def test_detector_default_ancilla_assignment():
+    # The one ancilla basis: ready at 0, then outcome i, in Kraus order, at i + 1.
     det = DetectorModel("F", projective_updown())
     assert det.ancilla_dim == 3
-    assert det.ready_index == 0
-    assert det.outcome_basis["up"] == 1
-    assert det.outcome_basis["down"] == 2
+    assert [det.record_index(label) for label in ("r", "up", "down")] == [0, 1, 2]
     np.testing.assert_allclose(ready(det).amplitudes, [1, 0, 0])
     np.testing.assert_allclose(det.record_state("down").amplitudes, [0, 0, 1])
-
-
-def test_detector_rejects_index_collisions():
-    with pytest.raises(ValidationError):
-        DetectorModel("F", projective_updown(), ready_index=1)  # collides with default map
-    with pytest.raises(ValidationError):
-        DetectorModel("F", projective_updown(), outcome_basis={"up": 0, "down": 2})
+    swapped = DetectorModel("F", KrausSet(tuple(reversed(projective_updown().outcomes))), ready_label="ready")
+    assert [swapped.record_index(label) for label in ("ready", "down", "up")] == [0, 1, 2]
 
 
 def test_detector_record_state_unknown_label():
@@ -192,21 +186,21 @@ def test_apply_instrument_on_entangled_targets():
 
 
 @pytest.mark.parametrize(
-    "targets, n_outcomes, outcome_basis, ready_index",
+    "targets, n_outcomes",
     [
-        (("B", "A"), 2, None, 0),  # reversed against the layout, default ancilla basis
-        (("B", "D1", "A"), 3, {"o0": 3, "o1": 0, "o2": 1}, 2),  # an earlier record, cycled
-        (("D1", "A"), 2, {"o0": 0, "o1": 2}, 1),
+        (("B", "A"), 2),  # reversed against the layout
+        (("B", "D1", "A"), 3),  # an earlier record, cycled among the system factors
+        (("D1", "A"), 2),
     ],
     ids=["reversed", "record-cycled", "record-first"],
 )
-def test_apply_instrument_matches_embedded_kraus_reference(targets, n_outcomes, outcome_basis, ready_index):
+def test_apply_instrument_matches_embedded_kraus_reference(targets, n_outcomes):
     # Layout A, B, D1: D1 is an earlier record holding arbitrary amplitudes, and
     # the record of D2 is appended after it.
     rng = np.random.default_rng(len(targets) + n_outcomes)
     dims = {"A": 2, "B": 3, "D1": 3}
     kraus = random_complete_kraus(rng, SubsystemLayout(tuple((t, dims[t]) for t in targets)), n_outcomes)
-    det = DetectorModel("D2", kraus, ready_index=ready_index, outcome_basis=outcome_basis)
+    det = DetectorModel("D2", kraus)
     rest = SubsystemLayout.of(("A", 2), ("B", 3), ("D1", 3))
     psi_rest = random_state(rng, rest)
     out = apply_instrument(psi_rest, det)
@@ -215,7 +209,7 @@ def test_apply_instrument_matches_embedded_kraus_reference(targets, n_outcomes, 
     expected = np.zeros(rest.dims + (det.ancilla_dim,), dtype=complex)
     for label, op in kraus.outcomes:
         branch = embed(op, targets, rest).apply(psi_rest)
-        expected[..., det.outcome_basis[label]] = branch.as_tensor()
+        expected[..., det.record_index(label)] = branch.as_tensor()
     np.testing.assert_allclose(whole_record(out, det).amplitudes, expected.reshape(-1), rtol=0, atol=1e-12)
 
 

@@ -18,6 +18,7 @@ from qtimeline import (
     StateVector,
     SubsystemLayout,
     build_history,
+    conditional,
     full_table,
     marginal,
 )
@@ -25,6 +26,7 @@ from qtimeline.sampling import random_complete_kraus, random_scenario, random_wi
 from qtimeline.wigner import friend_detector, wigner_detector
 
 TOL = 1e-12
+TOL_REWRITE = 1e-10  # for transforms that rewrite every amplitude
 SEEDS = range(12)
 
 
@@ -158,3 +160,75 @@ def test_a_trivial_detector_changes_no_other_marginal():
                 assert abs(marginal(with_trivial, OutcomeQuery(assignment, t)) - value) < TOL
             own = "seen" if t > position + 0.5 else "r"
             assert abs(marginal(with_trivial, OutcomeQuery({"T": own}, t)) - 1.0) < TOL
+
+
+def on_targets(layout, per_factor):
+    """Kronecker product over the factors of ``layout``: ``per_factor[label]`` or the identity."""
+    out = np.eye(1)
+    for label, dim in layout.factors:
+        out = np.kron(out, per_factor.get(label, np.eye(dim)))
+    return out
+
+
+def readouts(history, t):
+    """Every table entry by label, every single-detector marginal and every non-null conditional."""
+    table = full_table(history, t).as_dict()
+    labels = {det.detector_label: (det.ready_label, *det.kraus.outcome_labels) for _, det in history.schedule.events}
+    singles = [{d: x} for d, shown in labels.items() for x in shown]
+    marginals = {tuple(a.items()): marginal(history, OutcomeQuery(a, t)) for a in singles}
+    conditionals = {
+        (tuple(a.items()), tuple(g.items())): conditional(history, a, g, t)
+        for a in singles for g in singles
+        if a.keys() != g.keys() and marginals[tuple(g.items())] > 1e-6
+    }
+    return table, marginals, conditionals
+
+
+def assert_same_readouts(h1, h2, ts, tol):
+    for t in ts:
+        for first, second in zip(readouts(h1, t), readouts(h2, t)):
+            assert first.keys() == second.keys(), t
+            assert max((abs(first[key] - second[key]) for key in first), default=0.0) < tol, t
+
+
+def test_relabelling_the_ancilla_basis():
+    # Permuting a detector's Kraus order moves each outcome to another ancilla
+    # index (ready 0, outcome i at i + 1).  With the matching permutation P
+    # applied to its record in every later Kraus (K -> P K P^T on that factor),
+    # the tables read by label must not change.
+    rng = np.random.default_rng(64)
+    on_records = 0
+    for sample in draws():
+        moves, changed = {}, []
+        for t, det in sample.schedule.events:
+            p = on_targets(det.kraus.target_layout, moves)  # earlier records at their new indices
+            conjugated = [(label, Operator(op.layout, p @ op.matrix @ p.T)) for label, op in det.kraus.outcomes]
+            order = rng.permutation(len(conjugated))
+            relabelled = DetectorModel(det.detector_label, KrausSet(tuple(conjugated[i] for i in order)))
+            move = np.zeros((det.ancilla_dim, det.ancilla_dim))
+            for label in (det.ready_label, *det.kraus.outcome_labels):
+                move[relabelled.record_index(label), det.record_index(label)] = 1.0
+            moves[det.detector_label] = move
+            changed.append((t, relabelled))
+            on_records += any(label in moves for label in det.kraus.target_labels)
+        assert_same_readouts(history_of(sample), history_of(sample, changed), readings(sample.schedule), TOL_REWRITE)
+    assert on_records
+
+
+def test_system_basis_change():
+    # V, a product of per-factor unitaries: psi0 -> V psi0, H -> V H V^dag and
+    # the system part of every Kraus conjugated by V.  Records are untouched.
+    rng = np.random.default_rng(65)
+    for sample in draws():
+        system = sample.psi0.layout
+        per_factor = {label: random_unitary(rng, dim) for label, dim in system.factors}
+        v = on_targets(system, per_factor)
+        events = []
+        for t, det in sample.schedule.events:
+            w = on_targets(det.kraus.target_layout, per_factor)
+            events.append((t, with_kraus(det, [w @ op.matrix @ w.conj().T for _, op in det.kraus.outcomes])))
+        psi0 = StateVector(system, v @ sample.psi0.amplitudes)
+        h = Operator(system, v @ sample.h_system.matrix @ v.conj().T)
+        rotated = build_history(psi0, sample.t0, h, EventSchedule(tuple(events)))
+        for t in readings(sample.schedule):
+            assert deviation(full_table(history_of(sample), t), full_table(rotated, t)) < TOL_REWRITE, t

@@ -181,6 +181,20 @@ def test_outcome_labels_at_respects_half_open_convention():
     assert outcome_labels_at(history, 2.0) == {"F": ("up", "down"), "W": ("yes", "no")}
 
 
+def test_outcome_labels_at_are_the_labels_of_the_full_table_rows():
+    histories = [wigner_history(0.6, 0.8, 0.8, 0.6)]
+    for seed in range(12):
+        sample = random_wide_scenario(np.random.default_rng([seed, 4]))
+        histories.append(build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule))
+    for history in histories:
+        times = history.schedule.times
+        readings = [-math.inf, times[0] - 0.5, *times, *((t1 + t2) / 2 for t1, t2 in zip(times, times[1:]))]
+        for t in [*readings, times[-1] + 1.0, math.inf]:
+            table = full_table(history, t)
+            shown = {d: tuple(dict.fromkeys(key[i] for key, _ in table.rows)) for i, d in enumerate(table.detectors)}
+            assert outcome_labels_at(history, t) == shown, t
+
+
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(-2, 6))
 @settings(max_examples=25, deadline=None)
 def test_full_table_rows_sum_to_one_in_every_regime(seed, t):

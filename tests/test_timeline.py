@@ -12,7 +12,6 @@ from qtimeline.hilbert import (
     Operator,
     StateVector,
     SubsystemLayout,
-    apply_on,
     propagator,
 )
 from qtimeline.instrument import DetectorModel, KrausSet, apply_instrument
@@ -30,7 +29,7 @@ from qtimeline.timeline import (
 from qtimeline.wigner import WignerScenario, build as build_wigner
 
 from helpers import expm_series
-from reference import basis_state
+from reference import basis_state, embed
 
 S = SubsystemLayout.of(("S", 2))
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -157,10 +156,10 @@ def test_segment_boundary_consistency():
         left = state_at(history, t_k - 1e-12)  # left limit within previous segment
         # Drop the ready axes of this detector and the later ones, transport the
         # tiny remaining step exactly, then record.
-        later = tuple(d.ready_index for _, d in schedule.events[k:])
+        later = tuple(d.record_index(d.ready_label) for _, d in schedule.events[k:])
         fired = SubsystemLayout(left.layout.factors[: 1 + k])
         evolved = StateVector(fired, left.as_tensor()[(slice(None),) * (1 + k) + later].reshape(-1))
-        evolved = apply_on(propagator(history.h_system, 1e-12, 0.0), evolved)
+        evolved = embed(propagator(history.h_system, 1e-12, 0.0), ("S",), fired).apply(evolved)
         branches = apply_instrument(evolved, det).as_tensor()
         # Write the appended outcome slots at their ancilla indices, later detectors ready.
         pushed = np.zeros(history.layout.dims, dtype=complex)
@@ -192,14 +191,35 @@ def test_anchor_stores_the_fired_records_only():
 
 
 def test_record_weights_are_the_anchor_weights_summed_over_the_system():
+    # One axis per scheduled detector, keyed by label: every listed entry is the
+    # reference weight at its ancilla index, and every ready slot left out is empty.
     for seed in range(12):
         sample = random_wide_scenario(np.random.default_rng([seed, 4]))
         history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
-        system_axes = tuple(range(len(sample.h_system.layout.factors)))
-        assert len(history.record_weights) == len(history.anchors)
-        for anchor, weights in zip(history.anchors, history.record_weights):
-            reference = (np.abs(anchor.as_tensor()) ** 2).sum(axis=system_axes)
-            np.testing.assert_array_equal(weights, reference)
+        system = sample.h_system.layout
+        detectors = [det for _, det in sample.schedule.events]
+        assert len(history.record_weights) == len(history.record_labels) == len(history.anchors)
+        for k, (weights, labels) in enumerate(zip(history.record_weights, history.record_labels)):
+            stored = (np.abs(history.anchors[k].as_tensor()) ** 2).sum(axis=tuple(range(len(system.factors))))
+            # The stored records written into whole ancillas by record_index, unfired ones ready.
+            index = []
+            for axis, det in enumerate(detectors):
+                if axis >= k:
+                    index.append([det.record_index(det.ready_label)])
+                elif stored.shape[axis] == det.ancilla_dim:
+                    index.append(range(det.ancilla_dim))
+                else:
+                    index.append([det.record_index(label) for label in det.kraus.outcome_labels])
+            reference = np.zeros([det.ancilla_dim for det in detectors])
+            reference[np.ix_(*index)] = stored.reshape([len(i) for i in index])
+            assert weights.shape == tuple(len(shown) for shown in labels)
+            for position in np.ndindex(weights.shape):
+                key = tuple(shown[i] for shown, i in zip(labels, position))
+                full_index = tuple(det.record_index(label) for det, label in zip(detectors, key))
+                assert weights[position] == reference[full_index]
+            for axis, det in enumerate(detectors):
+                if det.ready_label not in labels[axis]:
+                    assert not reference.take(det.record_index(det.ready_label), axis=axis).any()
             with pytest.raises(ValueError):
                 weights[(0,) * weights.ndim] = 0.5
 
@@ -335,7 +355,8 @@ def test_constraint_residual_rejects_straddling_interval():
 def padded_residual(history, t, dt):
     """The residual over full-layout states, as ``state_at`` returns them."""
     plus, minus = state_at(history, t + dt).amplitudes, state_at(history, t - dt).amplitudes
-    h_psi = apply_on(history.h_system, state_at(history, t)).amplitudes
+    psi = state_at(history, t)
+    h_psi = embed(history.h_system, history.h_system.layout.labels, psi.layout).apply(psi).amplitudes
     return float(np.linalg.norm(1j * (plus - minus) / (2.0 * dt) - h_psi))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtimeline.hilbert import DomainError, apply_on, Operator, SubsystemLayout
+from qtimeline.hilbert import DomainError, Operator, SubsystemLayout
 from qtimeline.instrument import validate
 from qtimeline.timeline import state_at
 from qtimeline.wigner import (
@@ -22,6 +22,7 @@ from helpers import (
     closed_form_marginal_w,
     random_unit_pair,
 )
+from reference import embed
 
 
 def test_scenario_validates_normalization_and_ordering():
@@ -80,7 +81,7 @@ def test_completion_subspace_is_never_reached():
     no_vec[1], no_vec[5] = -np.conj(beta), np.conj(alpha)
     complement = np.eye(6) - np.outer(yes_vec, yes_vec.conj()) - np.outer(no_vec, no_vec.conj())
     sf_layout = SubsystemLayout.of(("S", 2), ("F", 3))
-    leaked = apply_on(Operator(sf_layout, complement), before)
+    leaked = embed(Operator(sf_layout, complement), sf_layout.labels, before.layout).apply(before)
     assert leaked.norm < 1e-12
 
 
