@@ -14,16 +14,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .hilbert import DomainError
-from .probability import (
-    ConditioningOnNullEvent,
-    OutcomeQuery,
-    ProbabilityTable,
-    conditional,
-    full_table,
-    joint,
-    marginal,
-)
+from .hilbert import DomainError, normalized
+from .probability import (ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable, conditional, full_table,
+                          joint, marginal)
 from .scenario import ScenarioError, dump_scenario, load_scenario, parse_query_string
 from .timeline import HistoryState, ScheduleError, build_history, history_layout
 from .wigner import FRIEND, WIGNER, WignerScenario, tables
@@ -146,40 +139,33 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"cannot parse complex value {text!r}; use 're' or 're,im'")
 
 
-def _normalized_pair(x: complex, y: complex, name: str) -> tuple[complex, complex]:
-    norm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
-    if norm == 0.0:
-        raise ValueError(f"{name} amplitudes cannot both be zero")
-    return x / norm, y / norm
+def _unit_pair(x: str, y: str, name: str):
+    """The pair ``normalized`` admits, always divided by its norm, so a near-unit pair is unit too."""
+    pair = normalized([_parse_complex(x), _parse_complex(y)], name)
+    return pair / math.hypot(*abs(pair))
 
 
-def _grid(table: ProbabilityTable, row_labels, col_labels, corner: str) -> str:
-    width = max(
-        PRETTY_DIGITS + 6,
-        *(len(str(c)) for c in col_labels),
-        *(len(str(r)) for r in row_labels),
-        len(corner),
-    )
+def _grid(table: ProbabilityTable) -> str:
+    row_labels, col_labels = table.labels
+    corner = "f\\w"
+    width = max(PRETTY_DIGITS + 6, *map(len, col_labels), *map(len, row_labels), len(corner))
     lines = ["  " + f"{corner:<{width}}" + "".join(f"{c:>{width}}" for c in col_labels)]
-    for r in row_labels:
-        cells = "".join(f"{_fmt(table.value({FRIEND: r, WIGNER: c}), PRETTY_DIGITS):>{width}}" for c in col_labels)
-        lines.append("  " + f"{r:<{width}}" + cells)
+    for r, values in zip(row_labels, table.weights.tolist()):
+        lines.append("  " + f"{r:<{width}}" + "".join(f"{_fmt(v, PRETTY_DIGITS):>{width}}" for v in values))
     return "\n".join(lines)
 
 
 def _single_column(table: ProbabilityTable) -> str:
-    width = max(len(key[0]) for key, _ in table.rows)
-    return "\n".join(
-        f"  {key[0]:<{width}}  {_fmt(value, PRETTY_DIGITS)}" for key, value in table.rows
-    )
+    (labels,) = table.labels
+    width = max(map(len, labels))
+    return "\n".join(f"  {label:<{width}}  {_fmt(value, PRETTY_DIGITS)}"
+                     for label, value in zip(labels, table.weights.tolist()))
 
 
 def _cmd_wigner(args) -> int:
     try:
-        a, b = _normalized_pair(_parse_complex(args.a), _parse_complex(args.b), "(a, b)")
-        alpha, beta = _normalized_pair(
-            _parse_complex(args.alpha), _parse_complex(args.beta), "(alpha, beta)"
-        )
+        a, b = _unit_pair(args.a, args.b, "(a, b)")
+        alpha, beta = _unit_pair(args.alpha, args.beta, "(alpha, beta)")
         scenario = WignerScenario(a=a, b=b, alpha=alpha, beta=beta, t_m=args.tm, t_n=args.tn)
     except (ValueError, DomainError) as err:
         print(f"invalid parameters: {err}", file=sys.stderr)
@@ -194,19 +180,16 @@ def _cmd_wigner(args) -> int:
     except ConditioningOnNullEvent as err:
         print(f"conditional tables undefined at these parameters: {err}", file=sys.stderr)
         return 1
-    f_labels = [key[0] for key, _ in result.marginal_f.rows]
-    w_labels = [key[0] for key, _ in result.marginal_w.rows]
-
     print(f"joint p(f,w) at t={t:g}")
-    print(_grid(result.joint, f_labels, w_labels, "f\\w"))
+    print(_grid(result.joint))
     print(f"\nmarginal p(w) at t={t:g}")
     print(_single_column(result.marginal_w))
     print(f"\nmarginal p(f) at t={t:g}")
     print(_single_column(result.marginal_f))
     print(f"\nconditional p(w|f) at t={t:g}")
-    print(_grid(result.cond_w_given_f, f_labels, w_labels, "f\\w"))
+    print(_grid(result.cond_w_given_f))
     print(f"\nconditional p(f|w) at t={t:g}")
-    print(_grid(result.cond_f_given_w, f_labels, w_labels, "f\\w"))
+    print(_grid(result.cond_f_given_w))
 
     if args.csv:
         grids = (

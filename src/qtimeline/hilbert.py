@@ -21,6 +21,7 @@ import numpy as np
 # double-precision accumulation at the dimensions in scope (<= ~64).
 TOL_PREDICATE = 1e-10
 TOL_EQUALITY = 1e-12
+NEAR_ZERO_NORM = 1e-9  # a state vector with a smaller norm is refused, not normalized
 
 
 class LayoutError(ValueError):
@@ -101,6 +102,27 @@ class StateVector:
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.dims)
+
+
+def normalized(amplitudes, what: str = "state vector") -> np.ndarray:
+    """``amplitudes`` divided by their norm, or as given when that norm is within TOL_EQUALITY of 1.
+
+    The norm is taken after an exact scaling by the power of two just above the
+    largest real or imaginary part, so no square overflows or underflows and a
+    normalized vector keeps its bits.  A non-finite entry, or a norm below
+    NEAR_ZERO_NORM, raises DomainError.
+    """
+    amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+    parts = amps.view(np.float64)
+    if not np.isfinite(parts).all():
+        raise DomainError(f"{what} has a non-finite entry")
+    exponent = math.frexp(np.abs(parts).max(initial=0.0))[1]
+    scaled = np.ldexp(parts, -exponent).view(np.complex128)
+    norm = float(np.linalg.norm(scaled))
+    size = math.ldexp(norm, min(exponent, 2))  # the norm itself wherever it is below 2
+    if size < NEAR_ZERO_NORM:
+        raise DomainError(f"{what} has (near-)zero norm")
+    return amps if abs(size - 1.0) <= TOL_EQUALITY else scaled / norm
 
 
 @dataclass(frozen=True, eq=False)

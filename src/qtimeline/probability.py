@@ -3,24 +3,22 @@
 Every probability here is "at clock reading t".  The Hamiltonian acts on the
 system factors only, so the weight of a detector-record configuration is the
 same anywhere in a segment: the segment anchor's |amplitude|^2 summed over the
-system axes.  That record-weight tensor is the single primitive; the history
-computes it once per anchor when it is built, and every query reads it from
-``HistoryState.record_weights``.  A joint probability reads one entry, a
-marginal sums over the unnamed detectors, and a conditional is the Bayes
-quotient of two such sums.  Absolute probabilities marginalized over the clock
-are deliberately not offered.
-
-The tensor has one axis per scheduled detector, and ``record_labels`` lists
-the labels along each axis, so a record is read by its label alone: no
-ancilla index and no axis size enters here.  A label an axis does not list
-(an outcome of a detector that has not fired, say) weighs 0.
-"""
+system axes.  That record-weight array is the single primitive; the history
+computes it once per anchor, with one axis per scheduled detector and
+``record_labels`` listing the labels along each axis.  A full table is that
+array with its labels, held without a copy; a joint probability reads one
+entry, a marginal sums over the unnamed detectors, and a conditional is the
+Bayes quotient of two such sums.  Records are read by label alone, through one
+label-to-index step; a label an axis does not list (an outcome of a detector
+that has not fired, say) weighs 0.  Absolute probabilities marginalized over
+the clock are deliberately not offered."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -55,62 +53,71 @@ class OutcomeQuery:
             object.__setattr__(self, "given", dict(self.given))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
-    """Outcome-assignment grid at a fixed clock reading.
+    """Outcome-assignment grid at a fixed clock reading: a weight array with labelled axes.
 
-    ``rows`` maps assignment tuples (outcome label per entry of ``detectors``,
-    in order) to raw probabilities.  ``given`` names the detectors that are
-    conditioned on rather than jointly measured; when it is empty the rows of
-    a full table sum to one.
+    ``weights`` has one axis per entry of ``detectors`` and ``labels`` lists the
+    outcome labels along each axis.  A read-only array (an anchor's record
+    weights) is held as given; a writable one is copied once and frozen.
+    ``given`` names the detectors conditioned on rather than jointly measured;
+    when it is empty the weights of a full table sum to one.  ``rows`` pairs
+    each ``itertools.product(*labels)`` key with its weight, derived on first use.
     """
 
     detectors: tuple[str, ...]
-    rows: tuple[tuple[tuple[str, ...], float], ...]
+    labels: tuple[tuple[str, ...], ...]
+    weights: np.ndarray
     t: float
     given: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for key, value in self.rows:
-            if not math.isfinite(value):
-                raise DomainError(f"non-finite probability {value} for {key}")
-            if value < -1e-12:
-                raise DomainError(f"negative probability {value} for {key}")
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if weights.flags.writeable:
+            weights = weights.copy()
+            weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        if weights.shape != tuple(map(len, self.labels)) or len(self.detectors) != weights.ndim:
+            raise DomainError(f"weights of shape {weights.shape} do not fit the labels {self.labels}")
+        if not (weights.min(initial=0.0) >= -1e-12 and weights.max(initial=0.0) < math.inf):  # NaN fails both
+            bad = ~np.isfinite(weights) | (weights < -1e-12)
+            cell = np.unravel_index(bad.argmax(), weights.shape)  # the first in row order
+            value, key = float(weights[cell]), tuple(axis[i] for axis, i in zip(self.labels, cell))
+            kind = "negative" if math.isfinite(value) else "non-finite"
+            raise DomainError(f"{kind} probability {value} for {key}")
 
     def value(self, assignment: Mapping[str, str]) -> float:
         key = tuple(assignment[d] for d in self.detectors)
-        for row_key, row_value in self.rows:
-            if row_key == key:
-                return row_value
-        raise KeyError(f"no row {key} in table over {self.detectors}")
+        if (index := _index(self.labels, key)) is None:
+            raise KeyError(f"no row {key} in table over {self.detectors}")
+        return float(self.weights[index])
 
     @property
     def total(self) -> float:
-        return sum(value for _, value in self.rows)
+        return float(self.weights.sum())
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[str, ...], float], ...]:
+        return tuple(zip(itertools.product(*self.labels), self.weights.ravel().tolist()))
 
     def as_dict(self) -> dict[tuple[str, ...], float]:
         return dict(self.rows)
 
 
+def _index(labels: tuple[tuple[str, ...], ...], key) -> tuple | None:
+    """Index of ``key`` on axes listing ``labels`` (None takes a whole axis); None for an unlisted label."""
+    try:
+        return tuple(slice(None) if label is None else axis.index(label) for axis, label in zip(labels, key))
+    except ValueError:
+        return None
+
+
 def _weight(history: HistoryState, k: int, assignments: Mapping[str, str]) -> float:
     """Weight of the records of anchor ``k`` that match ``assignments``; unnamed detectors are summed."""
-    known = set(history.schedule.detector_labels)
-    unknown = set(assignments) - known
-    if unknown:
-        raise KeyError(f"unknown detectors {sorted(unknown)}; schedule has {sorted(known)}")
-    weights, labels = history.record_weights[k], history.record_labels[k]
-    index = [slice(None)] * len(labels)
-    null = False
-    for axis, (_, det) in enumerate(history.schedule.events):
-        label = assignments.get(det.detector_label)
-        if label is None:
-            continue
-        det.record_index(label)  # KeyError on an unknown label
-        if label in labels[axis]:
-            index[axis] = labels[axis].index(label)
-        else:
-            null = True
-    return 0.0 if null else float(weights[tuple(index)].sum())
+    for name, label in assignments.items():
+        history.schedule.detector(name).record_index(label)  # KeyError on an unknown detector or label
+    index = _index(history.record_labels[k], map(assignments.get, history.schedule.detector_labels))
+    return 0.0 if index is None else float(history.record_weights[k][index].sum())
 
 
 def _nonnull(weight: float, given: Mapping[str, str], t: float) -> float:
@@ -165,5 +172,5 @@ def full_table(history: HistoryState, t: float) -> ProbabilityTable:
     So the rows always sum to one.
     """
     k = history.segment_at(t)
-    rows = tuple(zip(itertools.product(*history.record_labels[k]), np.ravel(history.record_weights[k]).tolist()))
-    return ProbabilityTable(history.schedule.detector_labels, rows, t)
+    labels, weights = history.record_labels[k], history.record_weights[k]  # the anchor's own arrays, no copy
+    return ProbabilityTable(history.schedule.detector_labels, labels, weights, t)

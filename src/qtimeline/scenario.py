@@ -39,13 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import (
-    LayoutError,
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    TOL_EQUALITY,
-)
+from .hilbert import DomainError, LayoutError, Operator, StateVector, SubsystemLayout, normalized
 from .instrument import DetectorModel, KrausSet
 from .probability import OutcomeQuery
 from .timeline import EventSchedule, ScheduleError, default_t0
@@ -147,16 +141,10 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
         raise ScenarioError(
             "system.state", f"length {amps.size} does not match system dimension {layout.dim}"
         )
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(amps))
-    if math.isinf(norm):  # squares of entries near the float limit overflow
-        amps = amps / np.abs(amps.view(np.float64)).max()
-        norm = float(np.linalg.norm(amps))
-    if norm < 1e-9:
-        raise ScenarioError("system.state", "state vector has (near-)zero norm")
-    # Normalize only when needed so canonical files round-trip bit-identically.
-    if abs(norm - 1.0) > TOL_EQUALITY:
-        amps = amps / norm
+    try:
+        amps = normalized(amps)  # unchanged when normalized, so canonical files round-trip bit-identically
+    except DomainError as err:
+        raise ScenarioError("system.state", str(err)) from None
     psi0 = StateVector(layout, amps)
 
     h_matrix = _complex_matrix(_require(data, "hamiltonian", "system"), "system.hamiltonian")

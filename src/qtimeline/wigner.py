@@ -4,12 +4,14 @@ A friend F measures a qubit S projectively; Wigner W later measures the joint
 S (x) F in an entangled yes/no basis, so the friend's record is itself a
 quantum degree of freedom for Wigner.  The scenario is parameterized by the
 system amplitudes (a, b), Wigner's yes-state amplitudes (alpha, beta), and the
-two event times.
+two event times.  Its five tables are one labelled weight array, the full
+table over (F, W), with its two axis sums and two broadcast quotients.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,9 @@ def friend_detector() -> DetectorModel:
     return DetectorModel(FRIEND, KrausSet(((UP, k_up), (DOWN, k_down))))
 
 
+_FRIEND_DETECTOR = friend_detector()  # immutable and parameter-free, so ``build`` shares one
+
+
 def wigner_detector(alpha: complex, beta: complex) -> DetectorModel:
     """Yes/no measurement of S (x) F in the entangled basis set by (alpha, beta).
 
@@ -94,7 +99,7 @@ def build(scenario: WignerScenario) -> HistoryState:
     h_zero = Operator(_SYSTEM_LAYOUT, np.zeros((2, 2)))
     schedule = EventSchedule(
         (
-            (scenario.t_m, friend_detector()),
+            (scenario.t_m, _FRIEND_DETECTOR),
             (scenario.t_n, wigner_detector(scenario.alpha, scenario.beta)),
         )
     )
@@ -113,25 +118,20 @@ class WignerTables:
 def tables(scenario: WignerScenario, t: float) -> WignerTables:
     """The five probability grids of the scenario at clock reading ``t``.
 
-    All five come from one full table: the marginals sum its rows, and the
-    conditionals divide them by the marginal of the given label.
+    All five come from one full table: the marginals are sums over its other
+    axis, and the conditionals divide it by the marginal of the given label.
+    Each given label is checked in row order over (f, w), F before W.
     """
-    history = build(scenario)
-    joint = full_table(history, t)
-    cells = joint.as_dict()
-    f_labels = tuple(dict.fromkeys(f for (f, _), _ in joint.rows))
-    w_labels = tuple(dict.fromkeys(w for (_, w), _ in joint.rows))
-    p_f = {f: sum(cells[f, w] for w in w_labels) for f in f_labels}
-    p_w = {w: sum(cells[f, w] for f in f_labels) for w in w_labels}
-    cond_w_rows = []
-    cond_f_rows = []
-    for (f, w), value in joint.rows:
-        cond_w_rows.append(((f, w), value / _nonnull(p_f[f], {FRIEND: f}, t)))
-        cond_f_rows.append(((f, w), value / _nonnull(p_w[w], {WIGNER: w}, t)))
+    joint = full_table(build(scenario), t)
+    (f_labels, w_labels), weights = joint.labels, joint.weights
+    p_f, p_w = weights.sum(axis=1), weights.sum(axis=0)
+    for f, w in itertools.product(range(len(f_labels)), range(len(w_labels))):
+        _nonnull(p_f[f], {FRIEND: f_labels[f]}, t)
+        _nonnull(p_w[w], {WIGNER: w_labels[w]}, t)
     return WignerTables(
         joint=joint,
-        marginal_w=ProbabilityTable((WIGNER,), tuple(((w,), p_w[w]) for w in w_labels), t),
-        marginal_f=ProbabilityTable((FRIEND,), tuple(((f,), p_f[f]) for f in f_labels), t),
-        cond_w_given_f=ProbabilityTable((FRIEND, WIGNER), tuple(cond_w_rows), t, given=(FRIEND,)),
-        cond_f_given_w=ProbabilityTable((FRIEND, WIGNER), tuple(cond_f_rows), t, given=(WIGNER,)),
+        marginal_w=ProbabilityTable((WIGNER,), (w_labels,), p_w, t),
+        marginal_f=ProbabilityTable((FRIEND,), (f_labels,), p_f, t),
+        cond_w_given_f=ProbabilityTable(joint.detectors, joint.labels, weights / p_f[:, None], t, given=(FRIEND,)),
+        cond_f_given_w=ProbabilityTable(joint.detectors, joint.labels, weights / p_w, t, given=(WIGNER,)),
     )

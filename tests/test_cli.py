@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtimeline
 from qtimeline.cli import main
@@ -103,6 +108,84 @@ def test_wigner_rejects_zero_amplitudes(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "invalid parameters" in err
+
+
+UNIT = "0.7071067811865476"
+NEAR_UNIT = "0.707106781187"  # 1/sqrt(2) to the 12 digits the CSV prints: norm about 1 + 6.4e-13
+
+
+@pytest.mark.parametrize(
+    "flags, code, err, same_as",
+    [
+        (["--a", "1e200", "--b", "1e200"], 0, "", ["--a", "1", "--b", "1"]),
+        (["--alpha", "1e308", "--beta", "1e308,1e308"], 0, "", ["--alpha", "1", "--beta", "1,1"]),
+        (["--a", NEAR_UNIT, "--b", NEAR_UNIT], 0, "", []),
+        (["--a", "0.6", "--b", "0.8", "--alpha", NEAR_UNIT, "--beta", NEAR_UNIT], 0, "",
+         ["--a", "0.6", "--b", "0.8", "--alpha", UNIT, "--beta", UNIT]),
+        (["--a", "1e-200", "--b", "0"], 2, "invalid parameters: (a, b) has (near-)zero norm\n", None),
+        (["--a", "5e-324", "--b", "5e-324"], 2, "invalid parameters: (a, b) has (near-)zero norm\n", None),
+    ],
+    ids=["huge-pair", "huge-complex-pair", "near-unit-pair", "near-unit-wigner-pair", "underflowing-pair",
+         "subnormal-pair"],
+)
+def test_wigner_amplitudes_near_the_float_limits(capsys, flags, code, err, same_as):
+    assert main(["wigner", *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == 0:  # a pair is normalized without squaring it, so it reads as the unit pair it scales
+        main(["wigner", *same_as])
+        assert captured.out == capsys.readouterr().out
+
+
+FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),  # subnormals, +-inf and nan included
+    st.sampled_from(["1e308", "-1e308", "1e400", "5e-324", "-5e-324", "2.2e-308", "inf", "-inf", "nan"]),
+)
+AMPLITUDE_TEXT = st.one_of(FLOAT_TEXT, st.tuples(FLOAT_TEXT, FLOAT_TEXT).map(",".join), st.text(max_size=12))
+
+
+def run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@given(
+    amplitudes=st.tuples(*[AMPLITUDE_TEXT] * 4),
+    times=st.tuples(*[st.one_of(st.none(), FLOAT_TEXT)] * 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_wigner_flags_never_raise(amplitudes, times):
+    argv = ["wigner", *(f"--{name}={text}" for name, text in zip(("a", "b", "alpha", "beta"), amplitudes))]
+    argv += [f"--{name}={text}" for name, text in zip(("tm", "tn", "t"), times) if text is not None]
+    assert run_quietly(argv) in (0, 1, 2)
+
+
+@given(
+    angles=st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi)),
+    drifts=st.tuples(st.floats(-2e-12, 2e-12), st.floats(-2e-12, 2e-12)),
+    scale=st.one_of(st.just(1.0), st.floats(1e-8, 1e300)),
+)
+@settings(max_examples=150, deadline=None)
+def test_wigner_accepts_every_pair_it_can_normalize(angles, drifts, scale):
+    argv = ["wigner"]
+    for (x, y), angle, drift in zip((("a", "b"), ("alpha", "beta")), angles, drifts):
+        size = scale * (1.0 + drift)
+        argv += [f"--{x}={size * math.cos(angle)!r}", f"--{y}={size * math.sin(angle)!r}"]
+    assert run_quietly(argv) in (0, 1)  # 1 only where a conditional table conditions on a null record
+
+
+QUERY_BODY = st.one_of(
+    st.text(max_size=16),
+    st.sampled_from(["full-table", "table", "D1=o0", "D1=r,D2=o1", "D3=o1|D1=o0", "D3=o1|", "|D1=o0", "D1=o9"]),
+)
+QUERY_TEXT = st.tuples(QUERY_BODY, FLOAT_TEXT).map("@t=".join) | st.text(max_size=20)
+
+
+@given(queries=st.lists(QUERY_TEXT, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_simulate_query_strings_never_raise(queries):
+    argv = ["simulate", str(DATA / "two_factor_wigner.json"), *(f"--query={text}" for text in queries)]
+    assert run_quietly(argv) in (0, 1, 2)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,16 +310,25 @@ def test_joint_agrees_with_trace_rule():
                 assert abs(via_table - via_trace) < 1e-12
 
 
-def test_twenty_repeated_projective_measurements_match_the_closed_form():
-    # A qubit a|up> + b|down> with H = 0, measured 20 times in the same basis.
-    # Stored anchors need at most 2 * 2**20 amplitudes; the whole ancillas would
-    # need 2 * 3**20.  Every record repeats the first outcome.
-    a, b = 0.6, 0.8j
+A20, B20 = 0.6, 0.8j
+TWENTY = [f"M{k}" for k in range(1, 21)]
+
+
+@pytest.fixture(scope="module")
+def twenty_detectors():
+    """A qubit A20|up> + B20|down> with H = 0, measured 20 times in the same basis.
+
+    Stored anchors need at most 2 * 2**20 amplitudes; the whole ancillas would
+    need 2 * 3**20.  Every record repeats the first outcome.
+    """
     S = SubsystemLayout.of(("S", 2))
     updown = KrausSet((("up", Operator(S, [[1, 0], [0, 0]])), ("down", Operator(S, [[0, 0], [0, 1]]))))
-    labels = [f"M{k}" for k in range(1, 21)]
-    schedule = EventSchedule(tuple((float(k), DetectorModel(label, updown)) for k, label in enumerate(labels, 1)))
-    history = build_history(StateVector(S, [a, b]), 0.0, Operator(S, np.zeros((2, 2))), schedule)
+    schedule = EventSchedule(tuple((float(k), DetectorModel(label, updown)) for k, label in enumerate(TWENTY, 1)))
+    return build_history(StateVector(S, [A20, B20]), 0.0, Operator(S, np.zeros((2, 2))), schedule)
+
+
+def test_twenty_repeated_projective_measurements_match_the_closed_form(twenty_detectors):
+    history, labels, a, b = twenty_detectors, TWENTY, A20, B20
     assert history.anchors[-1].layout.dim == 2 * 2**20
 
     def all_show(label, t=25.0):
@@ -364,5 +374,78 @@ def test_nan_clock_reading_is_a_domain_error():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_probability_table_rejects_non_finite_rows(value):
-    with pytest.raises(DomainError, match="non-finite"):
-        ProbabilityTable(("M",), ((("up",), 0.5), (("down",), value)), 1.0)
+    with pytest.raises(DomainError, match=rf"non-finite probability {value} for \('down',\)"):
+        ProbabilityTable(("M",), (("up", "down"),), [0.5, value], 1.0)
+
+
+def test_probability_table_names_the_first_negative_cell():
+    labels = (("up", "down"), ("yes", "no"))
+    ProbabilityTable(("F", "W"), labels, [[0.5, -1e-13], [0.5, 0.0]], 1.0)  # round-off passes
+    with pytest.raises(DomainError, match=r"negative probability -0.001 for \('up', 'no'\)"):
+        ProbabilityTable(("F", "W"), labels, [[0.5, -1e-3], [math.nan, -2e-3]], 1.0)
+
+
+@pytest.mark.parametrize(
+    "detectors, labels",
+    [(("F", "W"), (("up", "down"), ("yes",))), (("F",), (("up", "down"), ("yes", "no")))],
+    ids=["short-axis", "missing-detector"],
+)
+def test_probability_table_refuses_weights_that_do_not_fit_its_labels(detectors, labels):
+    with pytest.raises(DomainError, match="do not fit"):
+        ProbabilityTable(detectors, labels, [[0.25, 0.25], [0.5, 0.0]], 1.0)
+
+
+def test_twenty_detector_full_table_is_a_view_with_a_small_peak(twenty_detectors):
+    history = twenty_detectors
+    tracemalloc.start()
+    try:
+        table = full_table(history, 25.0)
+        up, down = table.value(dict.fromkeys(TWENTY, "up")), table.value(dict.fromkeys(TWENTY, "down"))
+        mixed = table.value({d: ("up" if k % 2 else "down") for k, d in enumerate(TWENTY)})
+        total = table.total
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the weights alone are 8 MiB
+    assert up == pytest.approx(abs(A20) ** 2, abs=1e-12)
+    assert down == pytest.approx(abs(B20) ** 2, abs=1e-12)
+    assert mixed == 0.0
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_full_table_holds_the_anchor_weights_read_only(twenty_detectors):
+    history = twenty_detectors
+    for t in (0.5, 10.5, 25.0):
+        table = full_table(history, t)
+        k = history.segment_at(t)
+        assert np.shares_memory(table.weights, history.record_weights[k])
+        assert table.labels == history.record_labels[k]
+        assert not table.weights.flags.writeable
+
+
+def test_table_from_a_writable_array_keeps_its_own_copy():
+    weights = np.array([[0.25, 0.25], [0.5, 0.0]])
+    table = ProbabilityTable(("F", "W"), (("up", "down"), ("yes", "no")), weights, 1.0)
+    weights[0, 0] = 0.9
+    assert table.value({"F": "up", "W": "yes"}) == 0.25
+    assert not np.shares_memory(table.weights, weights)
+    assert not table.weights.flags.writeable
+
+
+def test_rows_follow_the_labels_in_product_order():
+    sample = random_wide_scenario(np.random.default_rng([5, 4]))
+    history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+    times = history.schedule.times
+    for t in (-math.inf, times[0] - 0.5, *times, times[-1] + 1.0, math.inf):
+        table = full_table(history, t)
+        assert table.rows == tuple(zip(itertools.product(*table.labels), table.weights.ravel()))
+        assert table.as_dict() == dict(table.rows)
+
+
+def test_value_refuses_an_unlisted_label():
+    table = full_table(wigner_history(0.6, 0.8, 0.8, 0.6), 1.5)
+    assert table.labels == (("up", "down"), ("r",))
+    with pytest.raises(KeyError, match="no row"):
+        table.value({"F": "up", "W": "yes"})
+    with pytest.raises(KeyError, match="no row"):
+        table.value({"F": "maybe", "W": "r"})
