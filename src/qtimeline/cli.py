@@ -18,7 +18,7 @@ from .hilbert import DomainError, normalized
 from .probability import (ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable, conditional, full_table,
                           joint, marginal)
 from .scenario import ScenarioError, dump_scenario, load_scenario, parse_query_string
-from .timeline import HistoryState, ScheduleError, build_history, history_layout
+from .timeline import HistoryState, build_history, history_layout
 from .wigner import FRIEND, WIGNER, WignerScenario, tables
 
 PRETTY_DIGITS = 6
@@ -163,23 +163,17 @@ def _single_column(table: ProbabilityTable) -> str:
 
 
 def _cmd_wigner(args) -> int:
+    t = args.t if args.t is not None else args.tn + 1.0
     try:
         a, b = _unit_pair(args.a, args.b, "(a, b)")
         alpha, beta = _unit_pair(args.alpha, args.beta, "(alpha, beta)")
-        scenario = WignerScenario(a=a, b=b, alpha=alpha, beta=beta, t_m=args.tm, t_n=args.tn)
-    except (ValueError, DomainError) as err:
-        print(f"invalid parameters: {err}", file=sys.stderr)
-        return 2
-
-    t = args.t if args.t is not None else scenario.t_n + 1.0
-    try:
-        result = tables(scenario, t)
-    except (DomainError, ScheduleError) as err:  # a NaN clock reading, or no finite t0 before t_m
-        print(f"invalid parameters: {err}", file=sys.stderr)
-        return 2
+        result = tables(WignerScenario(a=a, b=b, alpha=alpha, beta=beta, t_m=args.tm, t_n=args.tn), t)
     except ConditioningOnNullEvent as err:
         print(f"conditional tables undefined at these parameters: {err}", file=sys.stderr)
         return 1
+    except ValueError as err:  # every library error is one: DomainError, ScheduleError, a bad flag
+        print(f"invalid parameters: {err}", file=sys.stderr)
+        return 2
     print(f"joint p(f,w) at t={t:g}")
     print(_grid(result.joint))
     print(f"\nmarginal p(w) at t={t:g}")

@@ -26,23 +26,27 @@ Each query uses exactly one form: a non-empty ``assignment``, ``target`` with
 ``given`` (which may be empty), or ``"full_table": true`` (JSON ``true`` only).
 A query string names each detector at most once on each side of its ``|``.
 
-Hermiticity, Kraus completeness, schedule ordering, and all dimensions are
-validated on load; failures name the offending key.
+A file is checked by the constructors a library caller uses (``StateVector``,
+``Operator``, ``KrausSet``, ``DetectorModel``, ``EventSchedule``, and
+``record_index`` for query labels); their errors become :class:`ScenarioError`
+under the offending file key.  Only the JSON form, Hermiticity, factor names
+and ``t0`` are checked here, since no constructor sees them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .hilbert import DomainError, LayoutError, Operator, StateVector, SubsystemLayout, normalized
+from .hilbert import Operator, StateVector, SubsystemLayout, normalized
 from .instrument import DetectorModel, KrausSet
 from .probability import OutcomeQuery
-from .timeline import EventSchedule, ScheduleError, default_t0
+from .timeline import EventSchedule, default_t0
 
 
 class ScenarioError(ValueError):
@@ -51,6 +55,15 @@ class ScenarioError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
+
+
+@contextmanager
+def _at(key: str):
+    """Report a library ``ValueError`` raised in the block as a ScenarioError under ``key``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ScenarioError(key, str(err)) from None
 
 
 @dataclass(frozen=True)
@@ -131,29 +144,16 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
         if not (pair and type(item[1]) is int and item[1] >= 1):  # bool is an int subclass
             raise ScenarioError(f"system.factors[{i}]", "expected a [label, dim] pair, dim an integer >= 1")
         pairs.append((item[0], item[1]))
-    try:
+    with _at("system.factors"):
         layout = SubsystemLayout(tuple(pairs))
-    except LayoutError as err:
-        raise ScenarioError("system.factors", str(err)) from None
 
     amps = _complex_vector(_require(data, "state", "system"), "system.state")
-    if amps.size != layout.dim:
-        raise ScenarioError(
-            "system.state", f"length {amps.size} does not match system dimension {layout.dim}"
-        )
-    try:
-        amps = normalized(amps)  # unchanged when normalized, so canonical files round-trip bit-identically
-    except DomainError as err:
-        raise ScenarioError("system.state", str(err)) from None
-    psi0 = StateVector(layout, amps)
+    with _at("system.state"):  # normalized is a no-op on a unit vector, so canonical files keep their bits
+        psi0 = StateVector(layout, normalized(amps))
 
     h_matrix = _complex_matrix(_require(data, "hamiltonian", "system"), "system.hamiltonian")
-    if h_matrix.shape != (layout.dim, layout.dim):
-        raise ScenarioError(
-            "system.hamiltonian",
-            f"shape {h_matrix.shape} does not match system dimension {layout.dim}",
-        )
-    h_system = Operator(layout, h_matrix)
+    with _at("system.hamiltonian"):
+        h_system = Operator(layout, h_matrix)
     if not h_system.is_hermitian():
         raise ScenarioError("system.hamiltonian", "matrix is not Hermitian (tolerance 1e-10)")
 
@@ -161,7 +161,7 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
     return psi0, h_system, None if t0 is None else _finite(t0, "system.t0")
 
 
-def _parse_event(data, layouts_by_label: dict[str, SubsystemLayout], key: str):
+def _parse_event(data, dims: dict[str, int], key: str):
     time = _finite(_require(data, "time", key), f"{key}.time")
     name = _require(data, "detector", key)
     if not isinstance(name, str) or not name:
@@ -170,17 +170,11 @@ def _parse_event(data, layouts_by_label: dict[str, SubsystemLayout], key: str):
     targets = _require(data, "targets", key)
     if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
         raise ScenarioError(f"{key}.targets", "expected a list of factor labels")
-    try:
-        target_layout = SubsystemLayout(
-            tuple(
-                (label, layouts_by_label[label].dim_of(label))
-                for label in targets
-            )
-        )
-    except KeyError as err:
-        raise ScenarioError(f"{key}.targets", f"unknown factor {err.args[0]!r}") from None
-    except LayoutError as err:
-        raise ScenarioError(f"{key}.targets", str(err)) from None
+    for label in targets:
+        if label not in dims:
+            raise ScenarioError(f"{key}.targets", f"unknown factor {label!r}")
+    with _at(f"{key}.targets"):
+        target_layout = SubsystemLayout(tuple((label, dims[label]) for label in targets))
 
     raw_kraus = _require(data, "kraus", key)
     if not isinstance(raw_kraus, list) or not raw_kraus:
@@ -190,28 +184,17 @@ def _parse_event(data, layouts_by_label: dict[str, SubsystemLayout], key: str):
         outcome = _require(item, "outcome", f"{key}.kraus[{i}]")
         if not isinstance(outcome, str) or not outcome:
             raise ScenarioError(f"{key}.kraus[{i}].outcome", "expected a non-empty string")
-        matrix = _complex_matrix(
-            _require(item, "matrix", f"{key}.kraus[{i}]"), f"{key}.kraus[{i}].matrix"
-        )
-        if matrix.shape != (target_layout.dim, target_layout.dim):
-            raise ScenarioError(
-                f"{key}.kraus[{i}].matrix",
-                f"shape {matrix.shape} does not match target dimension {target_layout.dim}",
-            )
-        entries.append((outcome, Operator(target_layout, matrix)))
-    try:
+        matrix = _complex_matrix(_require(item, "matrix", f"{key}.kraus[{i}]"), f"{key}.kraus[{i}].matrix")
+        with _at(f"{key}.kraus[{i}].matrix"):
+            entries.append((outcome, Operator(target_layout, matrix)))
+    with _at(f"{key}.kraus"):
         kraus = KrausSet(tuple(entries))
-    except (ValueError, LayoutError) as err:
-        raise ScenarioError(f"{key}.kraus", str(err)) from None
 
     ready_label = data.get("ready_label", "r")
     if not isinstance(ready_label, str) or not ready_label:
         raise ScenarioError(f"{key}.ready_label", "expected a non-empty string")
-    try:
-        detector = DetectorModel(name, kraus, ready_label=ready_label)
-    except (ValueError, LayoutError) as err:
-        raise ScenarioError(key, str(err)) from None
-    return time, detector
+    with _at(key):
+        return time, DetectorModel(name, kraus, ready_label=ready_label)
 
 
 def _parse_query(data, schedule: EventSchedule, key: str) -> OutcomeQuery:
@@ -243,17 +226,9 @@ def _parse_query(data, schedule: EventSchedule, key: str) -> OutcomeQuery:
 def _check_names(assignment: dict[str, str], schedule: EventSchedule, key: str) -> None:
     for det_name, outcome in assignment.items():
         try:
-            det = schedule.detector(det_name)
-        except KeyError:
-            raise ScenarioError(
-                key, f"unknown detector {det_name!r}; have {list(schedule.detector_labels)}"
-            ) from None
-        if outcome != det.ready_label and outcome not in det.kraus.outcome_labels:
-            raise ScenarioError(
-                key,
-                f"unknown outcome {outcome!r} for detector {det_name!r}; "
-                f"have {list(det.kraus.outcome_labels)} and ready label {det.ready_label!r}",
-            )
+            schedule.detector(det_name).record_index(outcome)  # the label rule of every probability query
+        except KeyError as err:
+            raise ScenarioError(key, err.args[0]) from None
 
 
 def parse_scenario(data) -> Scenario:
@@ -261,31 +236,24 @@ def parse_scenario(data) -> Scenario:
         raise ScenarioError("", "top level must be an object")
     psi0, h_system, t0 = _parse_system(_require(data, "system", ""))
 
-    layouts_by_label: dict[str, SubsystemLayout] = {
-        label: psi0.layout for label in psi0.layout.labels
-    }
+    dims = dict(psi0.layout.factors)
     raw_events = _require(data, "events", "")
     if not isinstance(raw_events, list):
         raise ScenarioError("events", "expected a list")
     events = []
     for i, raw in enumerate(raw_events):
-        time, det = _parse_event(raw, layouts_by_label, f"events[{i}]")
-        if det.detector_label in layouts_by_label:
-            raise ScenarioError(
-                f"events[{i}].detector", f"label {det.detector_label!r} collides with an existing factor"
-            )
-        layouts_by_label[det.detector_label] = det.ancilla_layout
+        time, det = _parse_event(raw, dims, f"events[{i}]")
+        if det.detector_label in dims:
+            message = f"label {det.detector_label!r} collides with an existing factor"
+            raise ScenarioError(f"events[{i}].detector", message)
+        dims[det.detector_label] = det.ancilla_dim
         events.append((time, det))
-    try:
+    with _at("events"):
         schedule = EventSchedule(tuple(events))
-    except ScheduleError as err:
-        raise ScenarioError("events", str(err)) from None
 
     if t0 is None:
-        try:
+        with _at("system.t0"):
             t0 = default_t0(schedule.times[0]) if schedule.times else 0.0
-        except ScheduleError as err:
-            raise ScenarioError("system.t0", str(err)) from None
     elif schedule.times and t0 >= schedule.times[0]:
         raise ScenarioError("system.t0", f"t0={t0} must precede the first event at {schedule.times[0]}")
 

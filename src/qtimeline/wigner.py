@@ -10,13 +10,12 @@ table over (F, W), with its two axis sums and two broadcast quotients.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, TOL_EQUALITY
+from .hilbert import DomainError, Operator, StateVector, SubsystemLayout
 from .instrument import DetectorModel, KrausSet
 from .probability import ProbabilityTable, _nonnull, full_table
 from .timeline import EventSchedule, HistoryState, build_history, default_t0
@@ -36,7 +35,12 @@ _DOWN_DOWN = 1 * 3 + 2
 
 @dataclass(frozen=True)
 class WignerScenario:
-    """Parameters of the two-measurement friend/Wigner schedule."""
+    """Parameters of the two-measurement friend/Wigner schedule.
+
+    Construction builds ``psi0`` and ``schedule`` once, as attributes that are
+    not fields, and they judge the parameters: DomainError unless each pair
+    ``is_normalized``, ScheduleError unless t_m < t_n, both finite.
+    """
 
     a: complex
     b: complex
@@ -46,13 +50,14 @@ class WignerScenario:
     t_n: float = 2.0
 
     def __post_init__(self) -> None:
-        if not all(map(cmath.isfinite, (self.a, self.b, self.alpha, self.beta, self.t_m, self.t_n))):
-            raise DomainError("a, b, alpha, beta, t_m and t_n must be finite")
-        for name, x, y in (("(a, b)", self.a, self.b), ("(alpha, beta)", self.alpha, self.beta)):
-            if abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) > TOL_EQUALITY:
+        psi0 = StateVector(_SYSTEM_LAYOUT, [self.a, self.b])
+        yes = StateVector(_SYSTEM_LAYOUT, [self.alpha, self.beta])
+        for name, pair in (("(a, b)", psi0), ("(alpha, beta)", yes)):
+            if not pair.is_normalized:
                 raise DomainError(f"amplitudes {name} must satisfy |x|^2 + |y|^2 = 1")
-        if not self.t_m < self.t_n:
-            raise DomainError(f"need t_m < t_n, got t_m={self.t_m}, t_n={self.t_n}")
+        events = ((self.t_m, _FRIEND_DETECTOR), (self.t_n, wigner_detector(self.alpha, self.beta)))
+        object.__setattr__(self, "psi0", psi0)
+        object.__setattr__(self, "schedule", EventSchedule(events))
 
 
 def friend_detector() -> DetectorModel:
@@ -62,7 +67,8 @@ def friend_detector() -> DetectorModel:
     return DetectorModel(FRIEND, KrausSet(((UP, k_up), (DOWN, k_down))))
 
 
-_FRIEND_DETECTOR = friend_detector()  # immutable and parameter-free, so ``build`` shares one
+_FRIEND_DETECTOR = friend_detector()  # immutable and parameter-free, so every scenario shares one
+_H_ZERO = Operator(_SYSTEM_LAYOUT, np.zeros((2, 2)))  # shared too, so its eigh runs once
 
 
 def wigner_detector(alpha: complex, beta: complex) -> DetectorModel:
@@ -95,15 +101,7 @@ def build(scenario: WignerScenario) -> HistoryState:
     The system has no free dynamics, so segment anchors are constant in time
     and only the event ordering matters.
     """
-    psi0 = StateVector(_SYSTEM_LAYOUT, [scenario.a, scenario.b])
-    h_zero = Operator(_SYSTEM_LAYOUT, np.zeros((2, 2)))
-    schedule = EventSchedule(
-        (
-            (scenario.t_m, _FRIEND_DETECTOR),
-            (scenario.t_n, wigner_detector(scenario.alpha, scenario.beta)),
-        )
-    )
-    return build_history(psi0, default_t0(scenario.t_m), h_zero, schedule)
+    return build_history(scenario.psi0, default_t0(scenario.t_m), _H_ZERO, scenario.schedule)
 
 
 @dataclass(frozen=True)

@@ -398,6 +398,20 @@ def test_experiment_scripts_run(tmp_path):
     assert sweep.returncode == 0, sweep.stderr
     assert len(read_csv(out)) == 3
 
+    def sweep_fails(*flags):
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "wigner_sweep.py"), "--steps", "3", *flags],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, proc.stderr
+        return proc.returncode, proc.stderr
+
+    assert sweep_fails("--a", "nan") == (2, "invalid parameters: (a, b) has a non-finite entry\n")
+    code, message = sweep_fails("--a", "1", "--b", "0")  # W=no is null at theta = 0
+    assert code == 1 and message.startswith("conditional tables undefined at theta=0.000000: ")
+
 
 def test_package_and_cli_do_not_import_scipy():
     # A fresh interpreter: this process already holds scipy through the oracle tests.

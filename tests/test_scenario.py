@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtimeline.probability import OutcomeQuery
+from qtimeline.probability import OutcomeQuery, marginal
 from qtimeline.scenario import (
     Scenario,
     ScenarioError,
@@ -15,6 +15,7 @@ from qtimeline.scenario import (
     parse_scenario,
     scenario_to_data,
 )
+from qtimeline.timeline import build_history
 
 
 def pair(z):
@@ -112,6 +113,39 @@ def test_parse_rejects_dimension_mismatch():
     data["events"][0]["kraus"][0]["matrix"] = [[pair(1)]]
     with pytest.raises(ScenarioError, match=r"events\[0\].kraus\[0\].matrix"):
         parse_scenario(data)
+
+
+def _second_event(data):
+    data["events"].append(dict(data["events"][0], time=2.0))
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda d: d["system"].update(hamiltonian=[[pair(0)]]), r"system\.hamiltonian"),
+        (lambda d: d["events"][0].update(targets=["Q"]), r"events\[0\]\.targets"),
+        (lambda d: d["events"][0].update(targets=["S", "S"]), r"events\[0\]\.targets"),
+        (_second_event, r"events\[1\]\.detector"),
+    ],
+    ids=["hamiltonian-shape", "unknown-target", "repeated-target", "detector-collision"],
+)
+def test_constructor_errors_name_the_file_key(edit, key):
+    data = qubit_scenario()
+    edit(data)
+    with pytest.raises(ScenarioError, match=rf"^{key}: "):
+        parse_scenario(data)
+
+
+@pytest.mark.parametrize("assignment", [{"X": "up"}, {"M": "sideways"}], ids=["unknown-detector", "unknown-outcome"])
+def test_query_labels_are_judged_by_the_rule_queries_apply(assignment):
+    scenario = parse_scenario(qubit_scenario())
+    history = build_history(scenario.psi0, scenario.t0, scenario.h_system, scenario.schedule)
+    with pytest.raises(KeyError) as at_query:
+        marginal(history, OutcomeQuery(assignment, 2.0))
+    ((name, label),) = assignment.items()
+    with pytest.raises(ScenarioError) as at_parse:
+        parse_query_string(f"{name}={label}@t=2.0", scenario.schedule)
+    assert str(at_parse.value).endswith(at_query.value.args[0])
 
 
 def test_roundtrip_is_bit_identical(tmp_path):

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qtimeline.hilbert import DomainError, Operator, SubsystemLayout
 from qtimeline.instrument import validate
-from qtimeline.timeline import state_at
+from qtimeline.timeline import ScheduleError, state_at
 from qtimeline.wigner import (
     FRIEND,
     WIGNER,
@@ -30,8 +32,28 @@ def test_scenario_validates_normalization_and_ordering():
         WignerScenario(a=1.0, b=1.0, alpha=1.0, beta=0.0)
     with pytest.raises(DomainError):
         WignerScenario(a=1.0, b=0.0, alpha=0.5, beta=0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScheduleError):
         WignerScenario(a=1.0, b=0.0, alpha=1.0, beta=0.0, t_m=2.0, t_n=1.0)
+
+
+@pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)])
+@pytest.mark.parametrize("pair", ["a", "alpha"])
+def test_an_overflowing_pair_is_a_domain_error(huge, pair):
+    params = {"a": 1.0, "b": 0.0, "alpha": 1.0, "beta": 0.0, pair: huge}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError):
+            WignerScenario(**params)
+    assert caught == []
+
+
+def test_a_pair_unit_to_twelve_digits_is_accepted_as_state_vectors_accept_it():
+    near = 0.707106781187  # norm about 1 + 6.4e-13, inside StateVector.is_normalized
+    exact = 2**-0.5
+    late = tables(WignerScenario(a=near, b=near, alpha=1.0, beta=0.0), 3.0)
+    reference = tables(WignerScenario(a=exact, b=exact, alpha=1.0, beta=0.0), 3.0)
+    for name in ("joint", "marginal_w", "marginal_f", "cond_w_given_f", "cond_f_given_w"):
+        np.testing.assert_allclose(getattr(late, name).weights, getattr(reference, name).weights, rtol=0, atol=1e-12)
 
 
 def test_shipped_detectors_are_complete():
