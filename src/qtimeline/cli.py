@@ -174,28 +174,19 @@ def _cmd_wigner(args) -> int:
     except ValueError as err:  # every library error is one: DomainError, ScheduleError, a bad flag
         print(f"invalid parameters: {err}", file=sys.stderr)
         return 2
-    print(f"joint p(f,w) at t={t:g}")
-    print(_grid(result.joint))
-    print(f"\nmarginal p(w) at t={t:g}")
-    print(_single_column(result.marginal_w))
-    print(f"\nmarginal p(f) at t={t:g}")
-    print(_single_column(result.marginal_f))
-    print(f"\nconditional p(w|f) at t={t:g}")
-    print(_grid(result.cond_w_given_f))
-    print(f"\nconditional p(f|w) at t={t:g}")
-    print(_grid(result.cond_f_given_w))
+    sections = (  # title, table, text form, CSV kind
+        ("joint p(f,w)", result.joint, _grid, "joint"),
+        ("marginal p(w)", result.marginal_w, _single_column, "marginal"),
+        ("marginal p(f)", result.marginal_f, _single_column, "marginal"),
+        ("conditional p(w|f)", result.cond_w_given_f, _grid, "conditional"),
+        ("conditional p(f|w)", result.cond_f_given_w, _grid, "conditional"),
+    )
+    print("\n\n".join(f"{title} at t={t:g}\n{text(table)}" for title, table, text, _ in sections))
 
     if args.csv:
-        grids = (
-            (result.joint, "joint"),
-            (result.marginal_w, "marginal"),
-            (result.marginal_f, "marginal"),
-            (result.cond_w_given_f, "conditional"),
-            (result.cond_f_given_w, "conditional"),
-        )
         rows = [
             _result_row(t, kind, value, (FRIEND, WIGNER), dict(zip(table.detectors, key)), table.given or None)
-            for table, kind in grids
+            for _, table, _, kind in sections
             for key, value in table.rows
         ]
         if not _write_output(args.csv, _csv_text(rows)):

@@ -74,6 +74,15 @@ class SubsystemLayout:
         return self.factors[self.axis(label)][1]
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` read-only: a read-only ``dtype`` array is held as given, anything else copied once and frozen."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude vector over a layout's row-major product basis."""
@@ -82,24 +91,22 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=np.complex128)
+        arr = _frozen(self.amplitudes, np.complex128)
         if arr.ndim != 1:
             raise LayoutError(f"amplitudes must be a flat vector, got shape {arr.shape}")
         if arr.size != self.layout.dim:
             raise LayoutError(
                 f"amplitude length {arr.size} does not match layout dimension {self.layout.dim}"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     @property
-    def is_normalized(self) -> bool:
-        with np.errstate(over="ignore"):  # a norm that overflows is inf, which fails the check
-            return abs(self.norm - 1.0) <= TOL_EQUALITY
+    def is_normalized(self) -> bool:  # a norm that overflows is inf, which fails the check
+        return abs(self.norm - 1.0) <= TOL_EQUALITY
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.dims)
@@ -134,11 +141,10 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=np.complex128)
+        arr = _frozen(self.matrix, np.complex128)
         d = self.layout.dim
         if arr.shape != (d, d):
             raise LayoutError(f"matrix shape {arr.shape} does not match layout dimension {d}")
-        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     def is_hermitian(self, tol: float = TOL_PREDICATE) -> bool:
@@ -162,7 +168,7 @@ class Operator:
 
 
 def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np.ndarray) -> np.ndarray:
-    """Apply ``matrices`` (one matrix on ``op_layout``, or a stack whose axes lead the
+    """Apply ``matrices`` (one matrix on ``op_layout``, or a stack whose axes trail the
     result) to the factors of ``op_layout`` in ``tens``, whose axes ``labels`` names."""
     axes = []
     for label, dim in op_layout.factors:
@@ -179,7 +185,17 @@ def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np
     moved = tens.transpose(perm)
     lead = matrices.ndim - 2
     out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:lead] + moved.shape)
-    return out.transpose([*range(lead), *(lead + ax for ax in inverse)])
+    return out.transpose([*(lead + ax for ax in inverse), *range(lead)])
+
+
+def _unitary(h: Operator, dt: float) -> np.ndarray:
+    """The matrix of ``propagator`` over an interval ``dt``, with no Operator around it."""
+    if (spectrum := h._spectrum) is None:
+        raise DomainError("propagator requires a Hermitian generator")
+    if not math.isfinite(dt):  # finite times can lie an overflowing interval apart; the phases would be NaN
+        raise DomainError(f"propagator needs a finite interval, got {dt}")
+    w, v = spectrum
+    return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
 def propagator(h: Operator, t: float, t0: float) -> Operator:
@@ -189,10 +205,5 @@ def propagator(h: Operator, t: float, t0: float) -> Operator:
     error rather than series truncation.  The decomposition is cached on
     ``h``, so repeated propagators of one generator run ``eigh`` once.
     """
-    spectrum = h._spectrum
-    if spectrum is None:
-        raise DomainError("propagator requires a Hermitian generator")
-    w, v = spectrum
-    phases = np.exp(-1j * w * (t - t0))
-    return Operator(h.layout, (v * phases) @ v.conj().T)
+    return Operator(h.layout, _unitary(h, t - t0))
 

@@ -94,7 +94,7 @@ class DetectorModel:
     outcome (index i + 1 for outcome i in Kraus order), mutually orthonormal,
     so outcome records are exactly distinguishable and carry zero weight before
     the measurement happens.
-    Construction checks completeness once, so every detector is a complete POVM.
+    Construction checks completeness once, so every detector is a complete POVM, and sets ``ancilla_dim``.
     """
 
     detector_label: str
@@ -111,10 +111,7 @@ class DetectorModel:
             raise ValidationError(
                 f"completeness violated by {report.max_deviation:.1e} at detector {self.detector_label!r}"
             )
-
-    @property
-    def ancilla_dim(self) -> int:
-        return len(self.kraus.outcomes) + 1
+        object.__setattr__(self, "ancilla_dim", len(self.kraus.outcomes) + 1)
 
     @property
     def ancilla_layout(self) -> SubsystemLayout:
@@ -148,4 +145,6 @@ def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
     # A state that already carries the record fails here, as a duplicate label.
     layout = SubsystemLayout(state.layout.factors + ((det.detector_label, len(det.kraus.outcomes)),))
     branches = _contract(det.kraus.matrices, det.kraus.target_layout, state.layout.labels, state.as_tensor())
-    return StateVector(layout, np.moveaxis(branches, 0, -1).reshape(-1))
+    amplitudes = branches.reshape(-1)
+    amplitudes.setflags(write=False)
+    return StateVector(layout, amplitudes)

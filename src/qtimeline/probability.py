@@ -4,8 +4,8 @@ Every probability here is "at clock reading t".  The Hamiltonian acts on the
 system factors only, so the weight of a detector-record configuration is the
 same anywhere in a segment: the segment anchor's |amplitude|^2 summed over the
 system axes.  That record-weight array is the single primitive; the history
-computes it once per anchor, with one axis per scheduled detector and
-``record_labels`` listing the labels along each axis.  A full table is that
+forms it once per anchor, on first read, with one axis per scheduled detector
+and the labels along each axis (``HistoryState.records``).  A full table is that
 array with its labels, held without a copy; a joint probability reads one
 entry, a marginal sums over the unnamed detectors, and a conditional is the
 Bayes quotient of two such sums.  Records are read by label alone, through one
@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .hilbert import DomainError
+from .hilbert import DomainError, _frozen
 from .timeline import HistoryState
 
 # Below this weight an event is treated as null and conditioning on it fails
@@ -72,10 +72,7 @@ class ProbabilityTable:
     given: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.flags.writeable:
-            weights = weights.copy()
-            weights.setflags(write=False)
+        weights = _frozen(self.weights, np.float64)
         object.__setattr__(self, "weights", weights)
         if weights.shape != tuple(map(len, self.labels)) or len(self.detectors) != weights.ndim:
             raise DomainError(f"weights of shape {weights.shape} do not fit the labels {self.labels}")
@@ -116,8 +113,9 @@ def _weight(history: HistoryState, k: int, assignments: Mapping[str, str]) -> fl
     """Weight of the records of anchor ``k`` that match ``assignments``; unnamed detectors are summed."""
     for name, label in assignments.items():
         history.schedule.detector(name).record_index(label)  # KeyError on an unknown detector or label
-    index = _index(history.record_labels[k], map(assignments.get, history.schedule.detector_labels))
-    return 0.0 if index is None else float(history.record_weights[k][index].sum())
+    labels, weights = history.records(k)
+    index = _index(labels, map(assignments.get, history.schedule.detector_labels))
+    return 0.0 if index is None else float(weights[index].sum())
 
 
 def _nonnull(weight: float, given: Mapping[str, str], t: float) -> float:
@@ -161,7 +159,7 @@ def conditional(
 
 def outcome_labels_at(history: HistoryState, t: float) -> dict[str, tuple[str, ...]]:
     """Labels each detector can show at time t: those its full-table rows range over."""
-    return dict(zip(history.schedule.detector_labels, history.record_labels[history.segment_at(t)]))
+    return dict(zip(history.schedule.detector_labels, history.records(history.segment_at(t))[0]))
 
 
 def full_table(history: HistoryState, t: float) -> ProbabilityTable:
@@ -171,6 +169,5 @@ def full_table(history: HistoryState, t: float) -> ProbabilityTable:
     its ready label while a later Kraus on its record leaves weight in that slot.
     So the rows always sum to one.
     """
-    k = history.segment_at(t)
-    labels, weights = history.record_labels[k], history.record_weights[k]  # the anchor's own arrays, no copy
+    labels, weights = history.records(history.segment_at(t))  # the anchor's own arrays, no copy
     return ProbabilityTable(history.schedule.detector_labels, labels, weights, t)

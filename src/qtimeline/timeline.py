@@ -15,8 +15,9 @@ it, in schedule order: its outcome slots 1..n, or its whole ancilla from the
 first event whose Kraus acts on the record.  A detector that has not fired has
 no axis; its record is ready.  ``HistoryState.layout`` is the full layout,
 system then every whole ancilla, and ``state_at`` zero-pads an anchor to it.
-The record weights every probability reads are computed once per anchor and
-keyed by label (``record_labels``), so no reader needs the storage convention.
+The record weights every probability reads are formed per anchor on its first
+read and keyed by label (``HistoryState.records``), so no reader needs the
+storage convention.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
-    TOL_EQUALITY,
     DomainError,
     LayoutError,
     Operator,
     StateVector,
     SubsystemLayout,
-    propagator,
+    _unitary,
 )
 from .instrument import DetectorModel, apply_instrument
 
@@ -94,12 +94,7 @@ class HistoryState:
     after the last event); ``anchors[k]`` is its state at ``anchor_time(k)``,
     over the system factors and the records of the first k detectors.
     ``layout`` is the full layout that ``state_at`` returns states on.
-
-    Computed on construction: ``record_weights[k]``, the read-only
-    |amplitude|^2 of ``anchors[k]`` summed over the system axes with one axis
-    per scheduled detector, and ``record_labels[k]``, the labels along each
-    axis: the ready label before the detector fires, its outcomes in Kraus
-    order after, then the ready label while a later Kraus leaves weight there.
+    Construction checks that every anchor is normalized.
     """
 
     layout: SubsystemLayout
@@ -111,29 +106,34 @@ class HistoryState:
     def __post_init__(self) -> None:
         if len(self.anchors) != len(self.schedule) + 1:
             raise DomainError("anchor count must be event count + 1")
+        if not all(anchor.is_normalized for anchor in self.anchors):
+            raise DomainError("anchor states must be normalized")
+        object.__setattr__(self, "_records", [None] * len(self.anchors))  # filled by ``records``
+
+    def records(self, k: int) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
+        """``(labels, weights)`` of segment ``k``, formed on first read and cached in a list that holds no
+        reference back to the history.  ``weights``: the read-only |amplitude|^2 of ``anchors[k]`` summed over
+        the system axes, one axis per scheduled detector; ``labels``: per axis, the ready label before it fires,
+        its outcomes in Kraus order after, then the ready label while a later Kraus leaves weight there."""
+        if self._records[k] is not None:
+            return self._records[k]
         system_axes = tuple(range(len(self.h_system.layout.factors)))
+        w = np.asarray((np.abs(self.anchors[k].as_tensor()) ** 2).sum(axis=system_axes))
         detectors = [det for _, det in self.schedule.events]
-        weights, labels = [], []
-        for k, anchor in enumerate(self.anchors):
-            w = np.asarray((np.abs(anchor.as_tensor()) ** 2).sum(axis=system_axes))
-            if abs(math.sqrt(w.sum()) - 1.0) > TOL_EQUALITY:
-                raise DomainError("anchor states must be normalized")
-            shown = []
-            for axis, det in enumerate(detectors[:k]):
-                outcomes = det.kraus.outcome_labels
-                if w.shape[axis] == det.ancilla_dim:  # a whole ancilla: outcomes, then a ready slot with weight
-                    order = list(range(1, det.ancilla_dim))
-                    if w.take(0, axis=axis).any():
-                        order.append(0)
-                        outcomes += (det.ready_label,)
-                    w = w.take(order, axis=axis)
-                shown.append(outcomes)
-            w = w.reshape(w.shape + (1,) * (len(detectors) - k))
-            w.setflags(write=False)
-            weights.append(w)
-            labels.append((*shown, *((det.ready_label,) for det in detectors[k:])))
-        object.__setattr__(self, "record_weights", tuple(weights))
-        object.__setattr__(self, "record_labels", tuple(labels))
+        shown = []
+        for axis, det in enumerate(detectors[:k]):
+            outcomes = det.kraus.outcome_labels
+            if w.shape[axis] == det.ancilla_dim:  # a whole ancilla: outcomes, then a ready slot with weight
+                order = list(range(1, det.ancilla_dim))
+                if w.take(0, axis=axis).any():
+                    order.append(0)
+                    outcomes += (det.ready_label,)
+                w = w.take(order, axis=axis)
+            shown.append(outcomes)
+        w = w.reshape(w.shape + (1,) * (len(detectors) - k))
+        w.setflags(write=False)
+        self._records[k] = ((*shown, *((det.ready_label,) for det in detectors[k:])), w)
+        return self._records[k]
 
     def segment_at(self, t: float) -> int:
         """Index of the segment holding the clock reading ``t``."""
@@ -179,22 +179,25 @@ def history_layout(system: SubsystemLayout, schedule: EventSchedule) -> Subsyste
     return full
 
 
-def _pad(state: StateVector, layout: SubsystemLayout) -> StateVector:
-    """Zero-pad ``state`` into ``layout``, which lists the same factors in order except
-    that a record may be whole where ``state`` stores its outcome slots (indices 1..n),
-    and may be absent from ``state``, which then reads as its ready state (index 0)."""
-    stored = dict(state.layout.factors)
-    index = [range(dim - stored[label], dim) if label in stored else [0] for label, dim in layout.factors]
+def _pad(amplitudes: np.ndarray, stored: SubsystemLayout, layout: SubsystemLayout) -> StateVector:
+    """Amplitudes on ``stored`` zero-padded into ``layout``, by one slice assignment: ``layout`` lists
+    the same factors in order except that a record may be whole where ``stored`` keeps its outcome
+    slots (1..n), and may be absent from ``stored``, which then reads as its ready state (index 0)."""
+    dims = dict(stored.factors)
+    block = tuple(slice(dim - dims[label], dim) if label in dims else slice(1) for label, dim in layout.factors)
     out = np.zeros(layout.dims, dtype=np.complex128)
-    out[np.ix_(*index)] = state.amplitudes.reshape([len(i) for i in index])
-    return StateVector(layout, out.reshape(-1))
+    out[block] = amplitudes.reshape([dims.get(label, 1) for label in layout.labels])
+    out = out.reshape(-1)
+    out.setflags(write=False)
+    return StateVector(layout, out)
 
 
-def _evolve(h: Operator, state: StateVector, t: float, t_from: float) -> StateVector:
-    """``state`` carried from ``t_from`` to ``t`` by the free flow of ``h``.  The system
-    factors lead every anchor, so one matmul on the system rows moves every record along."""
-    rows = state.amplitudes.reshape(h.layout.dim, -1)
-    return StateVector(state.layout, (propagator(h, t, t_from).matrix @ rows).reshape(-1))
+def _evolve(h: Operator, state: StateVector, t: float, t_from: float) -> np.ndarray:
+    """The amplitudes of ``state`` carried from ``t_from`` to ``t`` by the free flow of ``h``, read-only.
+    The system factors lead every anchor, so one matmul on the system rows moves every record along."""
+    amplitudes = (_unitary(h, t - t_from) @ state.amplitudes.reshape(h.layout.dim, -1)).reshape(-1)
+    amplitudes.setflags(write=False)
+    return amplitudes
 
 
 def build_history(
@@ -228,11 +231,14 @@ def build_history(
     full = history_layout(psi0.layout, schedule)
     anchors = [psi0]
     for (t_k, det), t_prev in zip(schedule.events, (t0,) + schedule.times):
-        state = _evolve(h_system, anchors[-1], t_k, t_prev)
+        stored = anchors[-1].layout
+        amplitudes = _evolve(h_system, anchors[-1], t_k, t_prev)
         targets = dict(det.kraus.target_layout.factors)
-        factors = tuple((label, targets.get(label, dim)) for label, dim in state.layout.factors)
-        if factors != state.layout.factors:
-            state = _pad(state, SubsystemLayout(factors))
+        factors = tuple((label, targets.get(label, dim)) for label, dim in stored.factors)
+        if factors != stored.factors:  # a Kraus on a record needs its whole ancilla
+            state = _pad(amplitudes, stored, SubsystemLayout(factors))
+        else:
+            state = StateVector(stored, amplitudes)
         anchors.append(apply_instrument(state, det))
 
     return HistoryState(full, h_system, schedule, t0, tuple(anchors))
@@ -254,7 +260,8 @@ def state_at(history: HistoryState, t: float) -> StateVector:
             f"full layout of {history.layout.dim} amplitudes exceeds the limit of {MAX_DENSE_DIM} amplitudes"
         )
     k = history.segment_at(t)
-    return _pad(_evolve(history.h_system, history.anchors[k], t, history.anchor_time(k)), history.layout)
+    anchor = history.anchors[k]
+    return _pad(_evolve(history.h_system, anchor, t, history.anchor_time(k)), anchor.layout, history.layout)
 
 
 def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
@@ -273,7 +280,7 @@ def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
     if not (math.isfinite(t - dt) and math.isfinite(t + dt)):
         raise DomainError(f"constraint_residual needs finite clock readings, got [{t - dt}, {t + dt}]")
     h, anchor, t_k = history.h_system, history.anchors[k], history.anchor_time(k)
-    psi_plus, psi_minus, psi = (_evolve(h, anchor, s, t_k).amplitudes for s in (t + dt, t - dt, t))
+    psi_plus, psi_minus, psi = (_evolve(h, anchor, s, t_k) for s in (t + dt, t - dt, t))
     h_psi = h.matrix @ psi.reshape(h.layout.dim, -1)
     residual = 1j * (psi_plus - psi_minus) / (2.0 * dt) - h_psi.reshape(-1)
     return float(np.linalg.norm(residual))

@@ -11,11 +11,12 @@ table over (F, W), with its two axis sums and two broadcast quotients.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DomainError, Operator, StateVector, SubsystemLayout
+from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, normalized
 from .instrument import DetectorModel, KrausSet
 from .probability import ProbabilityTable, _nonnull, full_table
 from .timeline import EventSchedule, HistoryState, build_history, default_t0
@@ -74,25 +75,20 @@ _H_ZERO = Operator(_SYSTEM_LAYOUT, np.zeros((2, 2)))  # shared too, so its eigh 
 def wigner_detector(alpha: complex, beta: complex) -> DetectorModel:
     """Yes/no measurement of S (x) F in the entangled basis set by (alpha, beta).
 
-    The yes/no vectors span only the correlated subspace {|up,up>, |down,down>}
-    reachable after the friend's measurement; the no-operator is extended by
-    the identity on the orthogonal complement so the family is complete on the
-    whole 6-dimensional space.  The extension annihilates nothing reachable.
+    The yes vector lies in the correlated subspace {|up,up>, |down,down>} reachable
+    after the friend's measurement, and k_no = I - k_yes is the no vector's projector
+    extended by the identity on the orthogonal complement, which annihilates nothing
+    reachable.  The pair is divided by its norm first, so a pair unit to twelve digits
+    still gives a family complete to rounding.
     """
+    pair = normalized([alpha, beta], "(alpha, beta)")
     yes = np.zeros(6, dtype=np.complex128)
-    yes[_UP_UP] = alpha
-    yes[_DOWN_DOWN] = beta
-    no = np.zeros(6, dtype=np.complex128)
-    no[_UP_UP] = -np.conj(beta)
-    no[_DOWN_DOWN] = np.conj(alpha)
-
+    yes[[_UP_UP, _DOWN_DOWN]] = pair / math.hypot(*abs(pair))
     k_yes = np.outer(yes, yes.conj())
-    correlated = k_yes + np.outer(no, no.conj())
-    k_no = np.outer(no, no.conj()) + (np.eye(6) - correlated)
-    return DetectorModel(
-        WIGNER,
-        KrausSet(((YES, Operator(_SF_LAYOUT, k_yes)), (NO, Operator(_SF_LAYOUT, k_no)))),
-    )
+    k_no = np.eye(6) - k_yes
+    k_yes.setflags(write=False)
+    k_no.setflags(write=False)
+    return DetectorModel(WIGNER, KrausSet(((YES, Operator(_SF_LAYOUT, k_yes)), (NO, Operator(_SF_LAYOUT, k_no)))))
 
 
 def build(scenario: WignerScenario) -> HistoryState:

@@ -190,8 +190,11 @@ def test_simulate_query_strings_never_raise(queries):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--tn", "inf"], ["--tm=-inf"], ["--tn", "1e400"], ["--alpha", "nan"], ["--beta", "inf"]],
-    ids=["tn-inf", "tm-minus-inf", "tn-overflow", "alpha-nan", "beta-inf"],
+    [
+        ["--tn", "inf"], ["--tm=-inf"], ["--tn", "1e400"], ["--alpha", "nan"], ["--beta", "inf"],
+        ["--tm=-1e308", "--tn=1e308"],  # finite times whose interval overflows
+    ],
+    ids=["tn-inf", "tm-minus-inf", "tn-overflow", "alpha-nan", "beta-inf", "interval-overflow"],
 )
 def test_wigner_rejects_non_finite_parameters(capsys, flags):
     assert main(["wigner", *flags]) == 2

@@ -14,6 +14,8 @@ from qtimeline.hilbert import (
     _contract,
     propagator,
 )
+from qtimeline.sampling import random_wide_scenario
+from qtimeline.timeline import HistoryState, build_history
 
 from helpers import expm_series
 from reference import basis_state, embed, tensor
@@ -222,3 +224,45 @@ def test_operator_predicates():
     assert Operator(qubit(), SIGMA_X).is_unitary()
     assert not Operator(qubit(), [[0, 1], [0, 0]]).is_hermitian()
 
+
+
+# The copy rule: a read-only complex128 array is held as given; any other input
+# is copied once and frozen, so a caller can never change a value afterwards.
+
+
+def test_state_and_operator_from_writable_arrays_keep_their_own_copies():
+    amplitudes, matrix = np.array([0.6, 0.8j]), SIGMA_X.copy()
+    state, op = StateVector(qubit(), amplitudes), Operator(qubit(), matrix)
+    amplitudes[0], matrix[0, 0] = 1.0, 5.0
+    assert state.amplitudes[0] == 0.6 and op.matrix[0, 0] == 0.0
+    for held, given in ((state.amplitudes, amplitudes), (op.matrix, matrix)):
+        assert not np.shares_memory(held, given)
+        assert not held.flags.writeable
+
+
+def test_a_read_only_complex_array_is_held_as_given():
+    amplitudes, matrix = np.array([0.6, 0.8j]), SIGMA_X.copy()
+    amplitudes.setflags(write=False)
+    matrix.setflags(write=False)
+    assert StateVector(qubit(), amplitudes).amplitudes is amplitudes
+    assert Operator(qubit(), matrix).matrix is matrix
+    real = np.array([1.0, 0.0])
+    real.setflags(write=False)
+    assert StateVector(qubit(), real).amplitudes.dtype == np.complex128  # converted, so a new array
+
+
+def test_the_anchors_of_a_built_history_are_read_only():
+    sample = random_wide_scenario(np.random.default_rng([1, 4]))
+    history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+    for anchor in history.anchors:
+        with pytest.raises(ValueError):
+            anchor.amplitudes[0] = 0.5
+
+
+def test_a_history_with_a_non_normalized_anchor_is_refused_before_any_read():
+    sample = random_wide_scenario(np.random.default_rng([1, 4]))
+    history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+    last = history.anchors[-1]
+    anchors = (*history.anchors[:-1], StateVector(last.layout, 1.001 * last.amplitudes))
+    with pytest.raises(DomainError, match="normalized"):
+        HistoryState(history.layout, history.h_system, history.schedule, history.t0, anchors)

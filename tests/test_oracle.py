@@ -12,6 +12,7 @@ from qtimeline.probability import OutcomeQuery, conditional, full_table, joint, 
 from qtimeline.sampling import (
     random_complete_kraus,
     random_hermitian,
+    random_record_scenario,
     random_scenario,
     random_state,
     random_wide_scenario,
@@ -180,7 +181,7 @@ def oracle_joints(sample, k: int) -> dict[tuple[str, ...], float]:
     }
 
 
-@pytest.mark.parametrize("draw", [random_scenario, random_wide_scenario])
+@pytest.mark.parametrize("draw", [random_scenario, random_wide_scenario, random_record_scenario])
 def test_oracle_agrees_at_every_clock_reading(draw):
     for seed in range(10):
         sample = draw(np.random.default_rng([seed, 4]))

@@ -417,9 +417,9 @@ def test_full_table_holds_the_anchor_weights_read_only(twenty_detectors):
     history = twenty_detectors
     for t in (0.5, 10.5, 25.0):
         table = full_table(history, t)
-        k = history.segment_at(t)
-        assert np.shares_memory(table.weights, history.record_weights[k])
-        assert table.labels == history.record_labels[k]
+        labels, weights = history.records(history.segment_at(t))
+        assert np.shares_memory(table.weights, weights)
+        assert table.labels == labels
         assert not table.weights.flags.writeable
 
 

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 
 from qtimeline.hilbert import SubsystemLayout
@@ -5,6 +8,7 @@ from qtimeline.instrument import validate
 from qtimeline.sampling import (
     random_complete_kraus,
     random_hermitian,
+    random_record_scenario,
     random_scenario,
     random_state,
     random_wide_scenario,
@@ -65,3 +69,21 @@ def test_random_wide_scenario_shape_and_determinism():
     assert [d.kraus.target_labels for _, d in one.schedule.events] == [
         d.kraus.target_labels for _, d in two.schedule.events
     ]
+
+
+def test_random_record_scenario_covers_the_record_shapes_within_dimension_36():
+    shapes = Counter()
+    for seed in range(10):  # the draws test_oracle_agrees_at_every_clock_reading checks
+        sample = random_record_scenario(np.random.default_rng([seed, 4]))
+        system = sample.psi0.layout
+        assert sample.psi0.is_normalized and sample.h_system.is_hermitian() and len(sample.schedule) >= 2
+        assert system.dim * math.prod(det.ancilla_dim for _, det in sample.schedule.events) <= 36
+        for k, (t, det) in enumerate(sample.schedule.events):
+            assert t == k + 1 and validate(det.kraus).max_deviation < 1e-12
+            records = [label for label in det.kraus.target_labels if label not in system]
+            assert set(records) <= set(sample.schedule.detector_labels[:k])
+            shapes["records only"] += len(records) == len(det.kraus.target_labels)
+            shapes["several records"] += len(records) >= 2
+            shapes["one outcome"] += len(det.kraus.outcomes) == 1
+            shapes["four outcomes"] += len(det.kraus.outcomes) >= 4
+    assert min(shapes.values()) > 0 and len(shapes) == 4

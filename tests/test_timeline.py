@@ -198,8 +198,9 @@ def test_record_weights_are_the_anchor_weights_summed_over_the_system():
         history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
         system = sample.h_system.layout
         detectors = [det for _, det in sample.schedule.events]
-        assert len(history.record_weights) == len(history.record_labels) == len(history.anchors)
-        for k, (weights, labels) in enumerate(zip(history.record_weights, history.record_labels)):
+        for k in range(len(history.anchors)):
+            labels, weights = history.records(k)
+            assert history.records(k)[1] is weights  # formed once, on first read
             stored = (np.abs(history.anchors[k].as_tensor()) ** 2).sum(axis=tuple(range(len(system.factors))))
             # The stored records written into whole ancillas by record_index, unfired ones ready.
             index = []

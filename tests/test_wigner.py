@@ -5,6 +5,7 @@ import pytest
 
 from qtimeline.hilbert import DomainError, Operator, SubsystemLayout
 from qtimeline.instrument import validate
+from qtimeline.probability import full_table
 from qtimeline.timeline import ScheduleError, state_at
 from qtimeline.wigner import (
     FRIEND,
@@ -48,12 +49,19 @@ def test_an_overflowing_pair_is_a_domain_error(huge, pair):
 
 
 def test_a_pair_unit_to_twelve_digits_is_accepted_as_state_vectors_accept_it():
-    near = 0.707106781187  # norm about 1 + 6.4e-13, inside StateVector.is_normalized
-    exact = 2**-0.5
-    late = tables(WignerScenario(a=near, b=near, alpha=1.0, beta=0.0), 3.0)
-    reference = tables(WignerScenario(a=exact, b=exact, alpha=1.0, beta=0.0), 3.0)
-    for name in ("joint", "marginal_w", "marginal_f", "cond_w_given_f", "cond_f_given_w"):
-        np.testing.assert_allclose(getattr(late, name).weights, getattr(reference, name).weights, rtol=0, atol=1e-12)
+    # A near-unit (alpha, beta) must still give a Kraus family complete to rounding;
+    # one complete only to about 2.6e-12 makes the last anchor fail its norm check.
+    near = 0.707106781187  # (near, near) has norm about 1 + 6.4e-13, inside StateVector.is_normalized
+    for params in ((near, near, 1.0, 0.0), (near, near, near, near), (0.6, 0.8, near, near)):
+        exact = tuple(2**-0.5 if x == near else x for x in params)
+        late, reference = (full_table(build(WignerScenario(*p)), 3.0) for p in (params, exact))
+        np.testing.assert_allclose(late.weights, reference.weights, rtol=0, atol=1e-12)
+        if params[:2] == params[2:]:
+            continue  # (a, b) is Wigner's yes state, so "no" is null and the conditional grids are undefined
+        late, reference = (tables(WignerScenario(*p), 3.0) for p in (params, exact))
+        for name in ("joint", "marginal_w", "marginal_f", "cond_w_given_f", "cond_f_given_w"):
+            late_weights, reference_weights = getattr(late, name).weights, getattr(reference, name).weights
+            np.testing.assert_allclose(late_weights, reference_weights, rtol=0, atol=1e-12)
 
 
 def test_shipped_detectors_are_complete():
