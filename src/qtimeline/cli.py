@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -263,7 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here at the latest, not in the interpreter's exit flush
+    except BrokenPipeError:  # the reader stopped early (``| head``): exit 1, no traceback, exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -44,13 +44,12 @@ class SubsystemLayout:
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple((str(label), int(dim)) for label, dim in self.factors)
+        factors = tuple([(str(label), int(dim)) for label, dim in self.factors])
         object.__setattr__(self, "factors", factors)
-        labels = tuple(label for label, _ in factors)
+        labels, dims = tuple(zip(*factors)) or ((), ())
         if len(set(labels)) != len(labels):
             raise LayoutError(f"duplicate subsystem labels: {list(labels)}")
-        dims = tuple(dim for _, dim in factors)
-        if any(dim < 1 for dim in dims):
+        if min(dims, default=1) < 1:
             raise LayoutError("every subsystem dimension must be >= 1")
         # Derived once; plain attributes, not fields, so eq, hash and repr see only ``factors``.
         object.__setattr__(self, "labels", labels)
@@ -150,12 +149,15 @@ class Operator:
     def is_hermitian(self, tol: float = TOL_PREDICATE) -> bool:
         # Entries near the float limit overflow to inf or nan, which fail the check.
         with np.errstate(over="ignore", invalid="ignore"):
-            return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+            return bool(abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``eigh`` of the matrix, or None if it is not Hermitian; computed once."""
-        return np.linalg.eigh(self.matrix) if self.is_hermitian() else None
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(w, v, v^dag)`` from ``eigh`` of the matrix, or None if it is not Hermitian; computed once."""
+        if not self.is_hermitian():
+            return None
+        w, v = np.linalg.eigh(self.matrix)
+        return w, v, v.conj().T
 
     def is_unitary(self, tol: float = TOL_PREDICATE) -> bool:
         product = self.matrix.conj().T @ self.matrix
@@ -181,11 +183,10 @@ def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np
             )
         axes.append(ax)
     perm = axes + [ax for ax in range(tens.ndim) if ax not in axes]
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
     moved = tens.transpose(perm)
     lead = matrices.ndim - 2
     out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:lead] + moved.shape)
-    return out.transpose([*(lead + ax for ax in inverse), *range(lead)])
+    return out.transpose([*(lead + perm.index(ax) for ax in range(tens.ndim)), *range(lead)])
 
 
 def _unitary(h: Operator, dt: float) -> np.ndarray:
@@ -194,8 +195,8 @@ def _unitary(h: Operator, dt: float) -> np.ndarray:
         raise DomainError("propagator requires a Hermitian generator")
     if not math.isfinite(dt):  # finite times can lie an overflowing interval apart; the phases would be NaN
         raise DomainError(f"propagator needs a finite interval, got {dt}")
-    w, v = spectrum
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+    w, v, v_dag = spectrum
+    return (v * np.exp(w * (-1j * dt))) @ v_dag
 
 
 def propagator(h: Operator, t: float, t0: float) -> Operator:

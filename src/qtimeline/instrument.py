@@ -49,18 +49,18 @@ class KrausSet:
     outcomes: tuple[tuple[str, Operator], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple((str(label), op) for label, op in self.outcomes)
+        entries = tuple([(str(label), op) for label, op in self.outcomes])
         object.__setattr__(self, "outcomes", entries)
         if not entries:
             raise ValidationError("a Kraus set needs at least one outcome")
-        labels = tuple(label for label, _ in entries)
+        labels = tuple([label for label, _ in entries])
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate outcome labels: {list(labels)}")
         reference = entries[0][1].layout
         for label, op in entries:
             if op.layout != reference:
                 raise LayoutError(f"Kraus operator for {label!r} is not on layout {reference.labels}")
-        matrices = np.stack([op.matrix for _, op in entries])
+        matrices = np.array([op.matrix for _, op in entries])  # the layouts agree, so the shapes do
         matrices.setflags(write=False)
         object.__setattr__(self, "target_layout", reference)
         object.__setattr__(self, "target_labels", reference.labels)
@@ -81,8 +81,8 @@ def validate(kraus: KrausSet) -> ValidationReport:
     # Entries near the float limit overflow to inf or nan, which fail the check.
     with np.errstate(over="ignore", invalid="ignore"):
         total = stacked.conj().T @ stacked
-        total[np.diag_indices(dim)] -= 1
-        deviation = float(np.max(np.abs(total)))
+        total.reshape(-1)[:: dim + 1] -= 1  # a strided view of the diagonal
+        deviation = float(abs(total).max())
     return ValidationReport(deviation <= TOL_PREDICATE, deviation)
 
 

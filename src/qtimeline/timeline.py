@@ -66,15 +66,15 @@ class EventSchedule:
     events: tuple[tuple[float, DetectorModel], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple((float(t), det) for t, det in self.events)
+        entries = tuple([(float(t), det) for t, det in self.events])
         object.__setattr__(self, "events", entries)
-        times = tuple(t for t, _ in entries)
-        if not all(math.isfinite(t) for t in times):
+        times, detectors = tuple(zip(*entries)) or ((), ())
+        if not all(map(math.isfinite, times)):
             raise ScheduleError(f"event times must be finite, got {list(times)}")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if list(times) != sorted(set(times)):  # finite, so strictly increasing exactly when sorted and distinct
             raise ScheduleError(f"event times must be strictly increasing, got {list(times)}")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "detector_labels", tuple(det.detector_label for _, det in entries))
+        object.__setattr__(self, "detector_labels", tuple([det.detector_label for det in detectors]))
 
     def detector(self, label: str) -> DetectorModel:
         for _, det in self.events:

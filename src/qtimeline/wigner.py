@@ -10,7 +10,6 @@ table over (F, W), with its two axis sums and two broadcast quotients.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -114,18 +113,21 @@ def tables(scenario: WignerScenario, t: float) -> WignerTables:
 
     All five come from one full table: the marginals are sums over its other
     axis, and the conditionals divide it by the marginal of the given label.
-    Each given label is checked in row order over (f, w), F before W.
+    Each given label is checked once, where a row loop over (f, w) first meets it.
     """
     joint = full_table(build(scenario), t)
     (f_labels, w_labels), weights = joint.labels, joint.weights
     p_f, p_w = weights.sum(axis=1), weights.sum(axis=0)
-    for f, w in itertools.product(range(len(f_labels)), range(len(w_labels))):
-        _nonnull(p_f[f], {FRIEND: f_labels[f]}, t)
-        _nonnull(p_w[w], {WIGNER: w_labels[w]}, t)
+    for det, names, p in ((FRIEND, f_labels[:1], p_f), (WIGNER, w_labels, p_w), (FRIEND, f_labels[1:], p_f[1:])):
+        for label, weight in zip(names, p):
+            _nonnull(weight, {det: label}, t)
+    w_given_f, f_given_w = weights / p_f[:, None], weights / p_w
+    for arr in (p_f, p_w, w_given_f, f_given_w):
+        arr.setflags(write=False)  # made here, so the tables hold them without a copy
     return WignerTables(
         joint=joint,
         marginal_w=ProbabilityTable((WIGNER,), (w_labels,), p_w, t),
         marginal_f=ProbabilityTable((FRIEND,), (f_labels,), p_f, t),
-        cond_w_given_f=ProbabilityTable(joint.detectors, joint.labels, weights / p_f[:, None], t, given=(FRIEND,)),
-        cond_f_given_w=ProbabilityTable(joint.detectors, joint.labels, weights / p_w, t, given=(WIGNER,)),
+        cond_w_given_f=ProbabilityTable(joint.detectors, joint.labels, w_given_f, t, given=(FRIEND,)),
+        cond_f_given_w=ProbabilityTable(joint.detectors, joint.labels, f_given_w, t, given=(WIGNER,)),
     )

@@ -49,3 +49,11 @@ def embed(op: Operator, targets, full: SubsystemLayout) -> Operator:
     dims = [dim for _, dim in op.layout.factors + rest]
     tens = big.reshape(dims + dims).transpose(perm + [len(perm) + p for p in perm])
     return Operator(full, tens.reshape(full.dim, full.dim))
+
+
+def completeness_deviation(kraus) -> float:
+    """max |sum_m K_m^dag K_m - I| over the entries, with the identity written out as a matrix."""
+    dim = kraus.target_layout.dim
+    stacked = kraus.matrices.reshape(-1, dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(dim))))

@@ -368,6 +368,27 @@ def child_env():
     return env
 
 
+def test_a_reader_that_stops_early_gets_exit_1_and_no_traceback(tmp_path):
+    data = json.loads(write_scenario(tmp_path).read_text())
+    data["events"] = [
+        {"time": float(i + 1), "detector": f"D{i}", "targets": ["S"], "kraus": projective_kraus()} for i in range(12)
+    ]
+    data["queries"] = [{"t": 13.0, "full_table": True}]  # 2**12 rows, far more than a pipe buffer holds
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtimeline.cli", "simulate", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first == b"full table at t=13\n"
+    assert stderr == b""
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qtimeline.cli", "wigner", "--t", "3.0"],

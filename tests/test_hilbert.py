@@ -12,9 +12,10 @@ from qtimeline.hilbert import (
     StateVector,
     SubsystemLayout,
     _contract,
+    _unitary,
     propagator,
 )
-from qtimeline.sampling import random_wide_scenario
+from qtimeline.sampling import random_hermitian, random_wide_scenario
 from qtimeline.timeline import HistoryState, build_history
 
 from helpers import expm_series
@@ -193,6 +194,15 @@ def test_propagator_sigma_x_quarter_period():
     series = expm_series(-1j * SIGMA_X * (np.pi / 2))
     np.testing.assert_allclose(u.matrix, series, atol=1e-12)
     np.testing.assert_allclose(u.matrix, -1j * SIGMA_X, atol=1e-12)
+
+
+@pytest.mark.parametrize("dt", [-3.7, 1e-9, 1.0, 1e6])
+def test_unitary_is_the_spectral_formula_bit_for_bit(dt):
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 3, 6, 12):
+        h = random_hermitian(rng, SubsystemLayout.of(("S", dim)))
+        w, v = np.linalg.eigh(h.matrix)
+        assert np.array_equal(_unitary(h, dt), (v * np.exp(-1j * w * dt)) @ v.conj().T)
 
 
 def test_propagator_rejects_non_hermitian():

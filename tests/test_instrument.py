@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from qtimeline.instrument import (
 )
 from qtimeline.sampling import random_complete_kraus, random_state
 
-from reference import basis_state, embed, tensor
+from reference import basis_state, completeness_deviation, embed, tensor
 
 S = SubsystemLayout.of(("S", 2))
 
@@ -63,6 +65,29 @@ def test_validate_overcomplete_reports_deviation_one():
     report = validate(KrausSet((("a", eye), ("b", eye))))
     assert not report.ok
     assert report.max_deviation == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim, n_outcomes", [(2, 1), (2, 3), (3, 2), (4, 4), (6, 2)])
+def test_validate_deviation_is_the_reference_deviation_bit_for_bit(dim, n_outcomes):
+    rng = np.random.default_rng(dim * 10 + n_outcomes)
+    lay = SubsystemLayout.of(("S", dim))
+    for _ in range(5):
+        kraus = random_complete_kraus(rng, lay, n_outcomes)
+        noise = 1e-9 * (rng.normal(size=kraus.matrices.shape) + 1j * rng.normal(size=kraus.matrices.shape))
+        perturbed = KrausSet(tuple((label, Operator(lay, k + dk))
+                                   for label, k, dk in zip(kraus.outcome_labels, kraus.matrices, noise)))
+        for family in (kraus, perturbed):
+            assert validate(family).max_deviation == completeness_deviation(family)
+        assert validate(perturbed).max_deviation > validate(kraus).max_deviation
+
+
+def test_validate_refuses_an_overflowing_family_without_a_warning():
+    huge = KrausSet((("a", Operator(S, np.full((2, 2), 1e200))), ("b", Operator(S, [[1e200j, 0], [0, 1]]))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate(huge)
+    assert not report.ok
+    assert not report.max_deviation <= 1e-10  # inf or nan
 
 
 def test_kraus_set_stacks_its_operators_read_only():

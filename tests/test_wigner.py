@@ -1,11 +1,14 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import qtimeline.probability
+import qtimeline.wigner
 from qtimeline.hilbert import DomainError, Operator, SubsystemLayout
 from qtimeline.instrument import validate
-from qtimeline.probability import full_table
+from qtimeline.probability import ConditioningOnNullEvent, full_table
 from qtimeline.timeline import ScheduleError, state_at
 from qtimeline.wigner import (
     FRIEND,
@@ -194,3 +197,35 @@ def test_tables_between_events_show_friend_outcomes_only():
     result = tables(WignerScenario(a=0.6, b=0.8, alpha=1.0, beta=0.0), 1.5)
     assert set(result.joint.as_dict()) == {("up", "r"), ("down", "r")}
     assert result.marginal_f.value({FRIEND: "up"}) == pytest.approx(0.36, abs=1e-12)
+
+
+def test_tables_wrap_the_arrays_they_make_without_a_copy(monkeypatch):
+    frozen, seen = qtimeline.probability._frozen, []
+
+    def spy(values, dtype):
+        seen.append((values, frozen(values, dtype)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(qtimeline.probability, "_frozen", spy)
+    tables(WignerScenario(0.6, 0.8, 0.8, 0.6), 3.0)
+    assert len(seen) == 5
+    assert all(out is values for values, out in seen)
+
+
+def test_tables_check_each_given_label_once(monkeypatch):
+    calls = []
+    nonnull = qtimeline.wigner._nonnull
+    monkeypatch.setattr(qtimeline.wigner, "_nonnull", lambda *args: calls.append(args[1]) or nonnull(*args))
+    tables(WignerScenario(0.6, 0.8, 0.8, 0.6), 3.0)
+    assert calls == [{FRIEND: "up"}, {WIGNER: "yes"}, {WIGNER: "no"}, {FRIEND: "down"}]
+
+
+@pytest.mark.parametrize(
+    "params, given",
+    [((1, 0, 1, 0), {WIGNER: "no"}), ((1, 0, 0, 1), {WIGNER: "yes"}), ((0, 1, 1, 0), {FRIEND: "up"})],
+)
+def test_the_first_null_given_label_in_row_order_is_reported(params, given):
+    # (1, 0, 1, 0): F=down is null too, but a row loop over (f, w) meets W=no first.
+    message = f"conditioning assignment {given} has probability 0.000e+00 at t=3.0"
+    with pytest.raises(ConditioningOnNullEvent, match=f"^{re.escape(message)}$"):
+        tables(WignerScenario(*params), 3.0)
