@@ -6,7 +6,8 @@ sin(theta)) and writes one CSV row per angle: the joint grid, both marginals,
 and both conditional grids at a late clock reading.  Useful for seeing how the
 two observers' descriptions pull apart as the bases rotate against each other.
 
-(a, b) is normalized as ``qtimeline wigner`` normalizes its flags.  Exit codes
+(a, b) is made unit by ``qtimeline.wigner.unit_pair``, the rule ``qtimeline
+wigner`` applies to its flags, so both give the same tables.  Exit codes
 follow ``qtimeline``: 2 for a pair that cannot be normalized (or another bad
 parameter or output path), 1 when a conditional is undefined at some angle;
 either way one stderr line is printed and no CSV is written.
@@ -18,9 +19,8 @@ import sys
 
 import numpy as np
 
-from qtimeline.hilbert import normalized
 from qtimeline.probability import ConditioningOnNullEvent
-from qtimeline.wigner import FRIEND, WIGNER, WignerScenario, tables
+from qtimeline.wigner import FRIEND, WIGNER, WignerScenario, tables, unit_pair
 
 
 def main() -> int:
@@ -41,7 +41,7 @@ def main() -> int:
 
     rows = []
     try:
-        a, b = normalized([args.a, args.b], "(a, b)")
+        a, b = unit_pair(args.a, args.b, "(a, b)")
         for theta in np.linspace(0.0, np.pi / 2, args.steps):
             alpha, beta = np.cos(theta), np.sin(theta)
             result = tables(WignerScenario(a=a, b=b, alpha=alpha, beta=beta), args.t)

@@ -10,17 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import sys
 from dataclasses import dataclass
 
-from .hilbert import DomainError, normalized
+from .hilbert import DomainError
 from .probability import (ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable, conditional, full_table,
                           joint, marginal)
 from .scenario import ScenarioError, dump_scenario, load_scenario, parse_query_string
 from .timeline import HistoryState, build_history, history_layout
-from .wigner import FRIEND, WIGNER, WignerScenario, tables
+from .wigner import FRIEND, WIGNER, WignerScenario, tables, unit_pair
 
 PRETTY_DIGITS = 6
 CSV_DIGITS = 12
@@ -83,8 +82,6 @@ def _write_output(path: str, text: str) -> bool:
 
 
 def _print_rows(rows: list[ResultRow]) -> None:
-    if not rows:
-        return
     width = max(len(r.assignment) for r in rows)
     for row in rows:
         print(f"  {row.kind:<12} t={row.t:<8g} {row.assignment:<{width}}  {_fmt(row.value, PRETTY_DIGITS)}")
@@ -94,7 +91,7 @@ def _cmd_simulate(args) -> int:
     try:
         scenario = load_scenario(args.file)
         history = build_history(scenario.psi0, scenario.t0, scenario.h_system, scenario.schedule)
-    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the anchor size limit
+    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the anchor size limit, a non-finite phase
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
 
@@ -140,12 +137,6 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"cannot parse complex value {text!r}; use 're' or 're,im'")
 
 
-def _unit_pair(x: str, y: str, name: str):
-    """The pair ``normalized`` admits, always divided by its norm, so a near-unit pair is unit too."""
-    pair = normalized([_parse_complex(x), _parse_complex(y)], name)
-    return pair / math.hypot(*abs(pair))
-
-
 def _grid(table: ProbabilityTable) -> str:
     row_labels, col_labels = table.labels
     corner = "f\\w"
@@ -166,8 +157,8 @@ def _single_column(table: ProbabilityTable) -> str:
 def _cmd_wigner(args) -> int:
     t = args.t if args.t is not None else args.tn + 1.0
     try:
-        a, b = _unit_pair(args.a, args.b, "(a, b)")
-        alpha, beta = _unit_pair(args.alpha, args.beta, "(alpha, beta)")
+        a, b = unit_pair(_parse_complex(args.a), _parse_complex(args.b), "(a, b)")
+        alpha, beta = unit_pair(_parse_complex(args.alpha), _parse_complex(args.beta), "(alpha, beta)")
         result = tables(WignerScenario(a=a, b=b, alpha=alpha, beta=beta, t_m=args.tm, t_n=args.tn), t)
     except ConditioningOnNullEvent as err:
         print(f"conditional tables undefined at these parameters: {err}", file=sys.stderr)

@@ -152,10 +152,10 @@ class Operator:
             return bool(abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(w, v, v^dag)`` from ``eigh`` of the matrix, or None if it is not Hermitian; computed once."""
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(w, v, v^dag)`` from ``eigh`` of the matrix, computed once; DomainError if it is not Hermitian."""
         if not self.is_hermitian():
-            return None
+            raise DomainError(f"matrix is not Hermitian (tolerance {TOL_PREDICATE:g})")
         w, v = np.linalg.eigh(self.matrix)
         return w, v, v.conj().T
 
@@ -190,13 +190,14 @@ def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np
 
 
 def _unitary(h: Operator, dt: float) -> np.ndarray:
-    """The matrix of ``propagator`` over an interval ``dt``, with no Operator around it."""
-    if (spectrum := h._spectrum) is None:
-        raise DomainError("propagator requires a Hermitian generator")
-    if not math.isfinite(dt):  # finite times can lie an overflowing interval apart; the phases would be NaN
-        raise DomainError(f"propagator needs a finite interval, got {dt}")
-    w, v, v_dag = spectrum
-    return (v * np.exp(w * (-1j * dt))) @ v_dag
+    """The matrix of ``propagator`` over ``dt``, with no Operator around it; DomainError for a non-finite phase
+    w*dt (an infinite reading, finite readings an overflowing interval apart, an eigenvalue that overflows)."""
+    w, v, v_dag = h._spectrum
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = w * (-1j * dt)
+    if not np.isfinite(phases).all():
+        raise DomainError(f"propagator phase w*dt is not finite: interval {dt}, largest |w| {abs(w).max()}")
+    return (v * np.exp(phases)) @ v_dag
 
 
 def propagator(h: Operator, t: float, t0: float) -> Operator:

@@ -39,8 +39,8 @@ class ConditioningOnNullEvent(ZeroDivisionError):
 class OutcomeQuery:
     """A (possibly partial) detector -> outcome assignment at one clock reading.
 
-    With ``given``, even an empty one, it asks for P(assignments | given);
-    without it, an empty ``assignments`` asks for the full table.
+    With ``given``, even an empty one, it asks for P(assignments | given) over disjoint
+    detectors (DomainError otherwise); without it, an empty ``assignments`` asks for the full table.
     """
 
     assignments: Mapping[str, str]
@@ -51,6 +51,8 @@ class OutcomeQuery:
         object.__setattr__(self, "assignments", dict(self.assignments))
         if self.given is not None:
             object.__setattr__(self, "given", dict(self.given))
+            if overlap := self.assignments.keys() & self.given.keys():
+                raise DomainError(f"target and given must name disjoint detectors; both name {sorted(overlap)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +86,8 @@ class ProbabilityTable:
             raise DomainError(f"{kind} probability {value} for {key}")
 
     def value(self, assignment: Mapping[str, str]) -> float:
+        if extra := assignment.keys() - self.detectors:
+            raise KeyError(f"no detector {sorted(extra)} in table over {self.detectors}")
         key = tuple(assignment[d] for d in self.detectors)
         if (index := _index(self.labels, key)) is None:
             raise KeyError(f"no row {key} in table over {self.detectors}")
@@ -127,19 +131,26 @@ def _nonnull(weight: float, given: Mapping[str, str], t: float) -> float:
     return weight
 
 
+def _unconditioned(history: HistoryState, query: OutcomeQuery, name: str) -> float:
+    """The weight of ``query.assignments`` at ``query.t``; a query with ``given`` is refused, not half-read."""
+    if query.given is not None:
+        raise DomainError(f"{name} reads no 'given'; ask conditional for P(assignments | given)")
+    return _weight(history, history.segment_at(query.t), query.assignments)
+
+
 def joint(history: HistoryState, query: OutcomeQuery) -> float:
     """Probability that every detector shows its assigned label at time t."""
     missing = set(history.schedule.detector_labels) - set(query.assignments)
     if missing:
         raise KeyError(f"joint requires a full assignment; missing {sorted(missing)}")
-    return _weight(history, history.segment_at(query.t), query.assignments)
+    return _unconditioned(history, query, "joint")
 
 
 def marginal(history: HistoryState, query: OutcomeQuery) -> float:
     """Probability of a partial assignment, summing implicitly over the rest."""
     if not query.assignments:
         raise KeyError("marginal requires at least one named detector")
-    return _weight(history, history.segment_at(query.t), query.assignments)
+    return _unconditioned(history, query, "marginal")
 
 
 def conditional(
@@ -149,12 +160,10 @@ def conditional(
     t: float,
 ) -> float:
     """Bayes quotient P(target and given at t) / P(given at t)."""
-    overlap = set(target) & set(given)
-    if overlap:
-        raise ValueError(f"target and given must name disjoint detectors; both name {sorted(overlap)}")
+    query = OutcomeQuery(target, t, given)
     k = history.segment_at(t)
-    denominator = _nonnull(_weight(history, k, given), given, t)
-    return _weight(history, k, {**target, **given}) / denominator
+    denominator = _nonnull(_weight(history, k, query.given), query.given, t)
+    return _weight(history, k, {**query.assignments, **query.given}) / denominator
 
 
 def outcome_labels_at(history: HistoryState, t: float) -> dict[str, tuple[str, ...]]:

@@ -26,11 +26,11 @@ Each query uses exactly one form: a non-empty ``assignment``, ``target`` with
 ``given`` (which may be empty), or ``"full_table": true`` (JSON ``true`` only).
 A query string names each detector at most once on each side of its ``|``.
 
-A file is checked by the constructors a library caller uses (``StateVector``,
-``Operator``, ``KrausSet``, ``DetectorModel``, ``EventSchedule``, and
-``record_index`` for query labels); their errors become :class:`ScenarioError`
-under the offending file key.  Only the JSON form, Hermiticity, factor names
-and ``t0`` are checked here, since no constructor sees them.
+A file is checked by the types a library caller uses (``StateVector``,
+``Operator`` and its Hermitian spectrum, ``KrausSet``, ``DetectorModel``,
+``EventSchedule``, ``record_index`` and ``OutcomeQuery`` for queries); their
+errors become :class:`ScenarioError` under the offending file key.  Only the
+JSON form, factor names and ``t0`` are checked here: no constructor sees them.
 """
 
 from __future__ import annotations
@@ -154,8 +154,7 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
     h_matrix = _complex_matrix(_require(data, "hamiltonian", "system"), "system.hamiltonian")
     with _at("system.hamiltonian"):
         h_system = Operator(layout, h_matrix)
-    if not h_system.is_hermitian():
-        raise ScenarioError("system.hamiltonian", "matrix is not Hermitian (tolerance 1e-10)")
+        h_system._spectrum  # DomainError unless Hermitian; build_history reads the cached eigh
 
     t0 = data.get("t0")
     return psi0, h_system, None if t0 is None else _finite(t0, "system.t0")
@@ -213,9 +212,8 @@ def _parse_query(data, schedule: EventSchedule, key: str) -> OutcomeQuery:
         given = _str_map(_require(data, "given", key), f"{key}.given")
         _check_names(target, schedule, f"{key}.target")
         _check_names(given, schedule, f"{key}.given")
-        if set(target) & set(given):
-            raise ScenarioError(key, "target and given must name disjoint detectors")
-        return OutcomeQuery(target, t, given)
+        with _at(key):
+            return OutcomeQuery(target, t, given)
     assignment = _str_map(data["assignment"], f"{key}.assignment")
     if not assignment:
         raise ScenarioError(f"{key}.assignment", "must name at least one detector")

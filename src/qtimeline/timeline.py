@@ -219,8 +219,7 @@ def build_history(
     """
     if h_system.layout != psi0.layout:
         raise LayoutError("system Hamiltonian must act on the initial state's layout")
-    if h_system._spectrum is None:
-        raise DomainError("system Hamiltonian must be Hermitian")
+    h_system._spectrum  # DomainError unless Hermitian, even when no event ever evolves the state
     if not psi0.is_normalized:
         raise DomainError("initial state must be normalized")
     if not math.isfinite(t0):
@@ -249,12 +248,10 @@ def state_at(history: HistoryState, t: float) -> StateVector:
 
     Locates the segment holding ``t``, transports its anchor with the free
     propagator, extended by the identity on every record, and zero-pads it to
-    the full layout.  The amplitudes at t = +-inf are undefined, so ``t`` must
-    be finite; a full layout beyond ``MAX_DENSE_DIM`` raises
-    :class:`DomainError` before anything is allocated.
+    the full layout.  The amplitudes at t = +-inf are undefined, so the
+    propagator refuses their phases; a full layout beyond ``MAX_DENSE_DIM``
+    raises :class:`DomainError` before anything is allocated.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"state_at needs a finite clock reading, got t={t}")
     if history.layout.dim > MAX_DENSE_DIM:
         raise DomainError(
             f"full layout of {history.layout.dim} amplitudes exceeds the limit of {MAX_DENSE_DIM} amplitudes"
@@ -269,16 +266,14 @@ def constraint_residual(history: HistoryState, t: float, dt: float) -> float:
 
     Uses the symmetric difference over [t-dt, t+dt], which must lie within a
     single segment; the residual is O(dt^2) for the smooth in-segment flow and
-    undefined across an event.  It evolves the stored anchor: padding to the
-    full layout would not change the norm.
+    undefined across an event or at an infinite reading.  It evolves the stored
+    anchor: padding to the full layout would not change the norm.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
     k = history.segment_at(t - dt)
     if k != history.segment_at(t + dt):
         raise DomainError(f"interval [{t - dt}, {t + dt}] straddles an event boundary")
-    if not (math.isfinite(t - dt) and math.isfinite(t + dt)):
-        raise DomainError(f"constraint_residual needs finite clock readings, got [{t - dt}, {t + dt}]")
     h, anchor, t_k = history.h_system, history.anchors[k], history.anchor_time(k)
     psi_plus, psi_minus, psi = (_evolve(h, anchor, s, t_k) for s in (t + dt, t - dt, t))
     h_psi = h.matrix @ psi.reshape(h.layout.dim, -1)

@@ -27,10 +27,6 @@ UP, DOWN = "up", "down"
 YES, NO = "yes", "no"
 
 _SYSTEM_LAYOUT = SubsystemLayout.of((SYSTEM, 2))
-# Friend ancilla: ready=0, up=1, down=2; joint S(x)F layout used by Wigner's Kraus.
-_SF_LAYOUT = SubsystemLayout.of((SYSTEM, 2), (FRIEND, 3))
-_UP_UP = 0 * 3 + 1
-_DOWN_DOWN = 1 * 3 + 2
 
 
 @dataclass(frozen=True)
@@ -69,6 +65,15 @@ def friend_detector() -> DetectorModel:
 
 _FRIEND_DETECTOR = friend_detector()  # immutable and parameter-free, so every scenario shares one
 _H_ZERO = Operator(_SYSTEM_LAYOUT, np.zeros((2, 2)))  # shared too, so its eigh runs once
+# Wigner's Kraus acts on S (x) F; |up,up> and |down,down> sit where the friend's record basis puts them.
+_SF_LAYOUT = SubsystemLayout(_SYSTEM_LAYOUT.factors + _FRIEND_DETECTOR.ancilla_layout.factors)
+_CORRELATED = [s * _FRIEND_DETECTOR.ancilla_dim + _FRIEND_DETECTOR.record_index(f) for s, f in enumerate((UP, DOWN))]
+
+
+def unit_pair(x: complex, y: complex, name: str) -> np.ndarray:
+    """``(x, y)`` as ``normalized`` admits it, then always divided by its norm, so a near-unit pair is unit too."""
+    pair = normalized([x, y], name)
+    return pair / math.hypot(*abs(pair))
 
 
 def wigner_detector(alpha: complex, beta: complex) -> DetectorModel:
@@ -77,14 +82,13 @@ def wigner_detector(alpha: complex, beta: complex) -> DetectorModel:
     The yes vector lies in the correlated subspace {|up,up>, |down,down>} reachable
     after the friend's measurement, and k_no = I - k_yes is the no vector's projector
     extended by the identity on the orthogonal complement, which annihilates nothing
-    reachable.  The pair is divided by its norm first, so a pair unit to twelve digits
-    still gives a family complete to rounding.
+    reachable.  The pair is made unit first (``unit_pair``), so a pair unit to twelve
+    digits still gives a family complete to rounding.
     """
-    pair = normalized([alpha, beta], "(alpha, beta)")
-    yes = np.zeros(6, dtype=np.complex128)
-    yes[[_UP_UP, _DOWN_DOWN]] = pair / math.hypot(*abs(pair))
+    yes = np.zeros(_SF_LAYOUT.dim, dtype=np.complex128)
+    yes[_CORRELATED] = unit_pair(alpha, beta, "(alpha, beta)")
     k_yes = np.outer(yes, yes.conj())
-    k_no = np.eye(6) - k_yes
+    k_no = np.eye(_SF_LAYOUT.dim) - k_yes
     k_yes.setflags(write=False)
     k_no.setflags(write=False)
     return DetectorModel(WIGNER, KrausSet(((YES, Operator(_SF_LAYOUT, k_yes)), (NO, Operator(_SF_LAYOUT, k_no)))))

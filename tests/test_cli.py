@@ -193,8 +193,9 @@ def test_simulate_query_strings_never_raise(queries):
     [
         ["--tn", "inf"], ["--tm=-inf"], ["--tn", "1e400"], ["--alpha", "nan"], ["--beta", "inf"],
         ["--tm=-1e308", "--tn=1e308"],  # finite times whose interval overflows
+        ["--a", "1,2,3"],
     ],
-    ids=["tn-inf", "tm-minus-inf", "tn-overflow", "alpha-nan", "beta-inf", "interval-overflow"],
+    ids=["tn-inf", "tm-minus-inf", "tn-overflow", "alpha-nan", "beta-inf", "interval-overflow", "three-part-a"],
 )
 def test_wigner_rejects_non_finite_parameters(capsys, flags):
     assert main(["wigner", *flags]) == 2
@@ -279,6 +280,16 @@ def test_simulate_bad_file_is_validation_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["simulate", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate", "export"])
+def test_a_missing_file_is_one_validation_line(tmp_path, capsys, command):
+    missing = tmp_path / "nope.json"
+    assert main([command, str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"{missing}: ")
 
 
 def test_validate_ok_and_failure(tmp_path, capsys):
@@ -437,6 +448,29 @@ def test_experiment_scripts_run(tmp_path):
     assert code == 1 and message.startswith("conditional tables undefined at theta=0.000000: ")
 
 
+def test_the_sweep_and_the_cli_make_a_near_unit_pair_unit_alike(tmp_path, capsys):
+    a, b, steps = "0.6000000000002", "0.8", 25  # |(a, b)| - 1 is about 1.2e-13, inside the unit tolerance
+    out = tmp_path / "sweep.csv"
+    sweep = subprocess.run(
+        [sys.executable, str(SCRIPTS / "wigner_sweep.py"), "--a", a, "--b", b, "--steps", str(steps),
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert sweep.returncode == 0, sweep.stderr
+    for row, theta in zip(read_csv(out), np.linspace(0.0, np.pi / 2, steps)):  # the sweep's own angles
+        csv_path = tmp_path / "wigner.csv"
+        alpha, beta = float(np.cos(theta)), float(np.sin(theta))
+        assert main(["wigner", "--a", a, "--b", b, f"--alpha={alpha!r}", f"--beta={beta!r}", "--t", "3",
+                     "--csv", str(csv_path)]) == 0
+        cli = {r["assignment"]: r["value"] for r in read_csv(csv_path) if r["kind"] == "joint"}
+        for f in ("up", "down"):
+            for w in ("yes", "no"):
+                assert row[f"joint_{f}_{w}"] == cli[f"F={f},W={w}"], (theta, f, w)
+    capsys.readouterr()
+
+
 def test_package_and_cli_do_not_import_scipy():
     # A fresh interpreter: this process already holds scipy through the oracle tests.
     code = (
@@ -523,6 +557,29 @@ def test_entries_near_the_float_limit_fail_without_warnings(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "entry, time", [(1e308, 1.0), (1e300, 1e9)], ids=["eigenvalue-overflows", "phase-overflows"]
+)
+def test_an_overflowing_phase_is_one_validation_line(tmp_path, capsys, entry, time):
+    # Every entry of H is ``entry``: Hermitian, with eigenvalues 0 and 2 * entry, evolved from t0 = 0 to ``time``.
+    data = json.loads(write_scenario(tmp_path).read_text())
+    data["system"]["hamiltonian"] = [[pair(entry), pair(entry)], [pair(entry), pair(entry)]]
+    data["events"] = [dict(data["events"][0], time=time)]
+    data["queries"] = [{"t": time + 1.0, "full_table": True}]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", str(path)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"{path}: propagator phase w*dt is not finite")
+    assert main(["validate", str(path)]) == 0  # validate builds no history, so nothing is evolved
+    capsys.readouterr()
 
 
 def test_simulate_rejects_nan_query_time(tmp_path, capsys):

@@ -58,6 +58,16 @@ def test_statevector_length_must_match_layout():
         StateVector(qubit(), [1, 0, 0])
 
 
+def test_statevector_amplitudes_must_be_a_flat_vector():
+    with pytest.raises(LayoutError, match=r"flat vector, got shape \(1, 2\)"):
+        StateVector(qubit(), [[1, 0]])
+
+
+def test_operator_apply_refuses_a_state_on_another_layout():
+    with pytest.raises(LayoutError, match="layouts differ"):
+        Operator(qubit(), SIGMA_X).apply(StateVector(qubit("T"), [1, 0]))
+
+
 # The tensor and embed tests check the test-side references in reference.py,
 # which other tests rely on, against explicit products and index sums.
 
@@ -207,8 +217,19 @@ def test_unitary_is_the_spectral_formula_bit_for_bit(dt):
 
 def test_propagator_rejects_non_hermitian():
     h = Operator(qubit(), [[0, 1], [0, 0]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^matrix is not Hermitian \(tolerance 1e-10\)$"):
         propagator(h, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "entry, dt",
+    [(1e308, 1.0), (1e300, 1e9), (0.0, float("inf")), (0.0, float("nan"))],
+    ids=["eigenvalue-overflows", "phase-overflows", "infinite-interval", "nan-interval"],
+)
+def test_propagator_refuses_a_phase_that_is_not_finite(entry, dt):
+    h = Operator(qubit(), np.full((2, 2), entry))  # Hermitian, with eigenvalues 0 and 2 * entry
+    with pytest.raises(DomainError, match=r"phase w\*dt is not finite"):
+        propagator(h, dt, 0.0)
 
 
 @given(

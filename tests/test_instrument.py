@@ -107,6 +107,13 @@ def test_kraus_set_rejects_duplicate_outcomes_and_mixed_layouts():
         KrausSet((("a", eye), ("b", other)))
 
 
+def test_kraus_set_needs_an_outcome_and_a_ready_label_of_its_own():
+    with pytest.raises(ValidationError, match="at least one outcome"):
+        KrausSet(())
+    with pytest.raises(ValidationError, match="ready label 'up' collides with an outcome label"):
+        DetectorModel("M", projective_updown(), ready_label="up")
+
+
 def test_effect_of_projective_case():
     np.testing.assert_allclose(effect(projective_updown(), "up"), [[1, 0], [0, 0]], atol=1e-14)
 

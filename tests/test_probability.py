@@ -150,6 +150,27 @@ def test_conditional_rejects_overlapping_sets():
         conditional(history, {"F": "up"}, {"F": "down"}, T_LATE)
 
 
+def test_a_query_refuses_overlapping_assignments_and_given_when_it_is_made():
+    with pytest.raises(DomainError, match=r"disjoint detectors; both name \['F'\]"):
+        OutcomeQuery({"F": "up"}, T_LATE, given={"F": "down", "W": "yes"})
+
+
+@pytest.mark.parametrize(
+    "read, query",
+    [
+        (joint, OutcomeQuery({"F": "up", "W": "yes"}, T_LATE, given={})),
+        (marginal, OutcomeQuery({"F": "up"}, T_LATE, given={"W": "yes"})),
+    ],
+    ids=["joint", "marginal"],
+)
+def test_joint_and_marginal_refuse_a_query_with_given(read, query):
+    # P(F=up | W=yes) = 1 here, while P(F=up) = 0.36: reading the target alone would answer the wrong question.
+    history = wigner_history(0.6, 0.8, 1.0, 0.0)
+    assert conditional(history, {"F": "up"}, {"W": "yes"}, T_LATE) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DomainError, match="reads no 'given'"):
+        read(history, query)
+
+
 def test_full_table_late_regime_matches_closed_form():
     rng = np.random.default_rng(9)
     a, b = random_unit_pair(rng)

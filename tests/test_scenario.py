@@ -194,6 +194,8 @@ def test_query_string_forms():
         parse_query_string("X=up@t=2.0", scenario.schedule)
     with pytest.raises(ScenarioError):
         parse_query_string("M=up|M=down@t=2.0", scenario.schedule)
+    with pytest.raises(ScenarioError, match="cannot parse time 'abc'"):
+        parse_query_string("M=up@t=abc", scenario.schedule)
 
 
 def test_query_string_conditional_form():
@@ -237,6 +239,27 @@ def test_parse_rejects_malformed_numbers(path, value, key):
     data = qubit_scenario()
     replace_at(data, path, value)
     with pytest.raises(ScenarioError, match=key):
+        parse_scenario(data)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("events", 0, "time"), 10**400, r"events\[0\]\.time: number is too large"),
+        (("system", "hamiltonian", 1), [pair(0)], r"system\.hamiltonian: rows have inconsistent lengths"),
+        (("queries",), {}, r"queries: expected a list"),
+        (("events", 0, "detector"), "", r"events\[0\]\.detector: expected a non-empty string"),
+        (("events", 0, "kraus"), [], r"events\[0\]\.kraus: expected a non-empty list"),
+        (("events", 0, "ready_label"), "", r"events\[0\]\.ready_label: expected a non-empty string"),
+        (("queries", 0), {"t": 2.0, "target": {}, "given": {"M": 1}}, r"queries\[0\]\.given: expected an object"),
+    ],
+    ids=["time-beyond-float-range", "ragged-rows", "queries-object", "empty-detector", "empty-kraus",
+         "empty-ready-label", "non-string-given-label"],
+)
+def test_json_form_errors_name_the_file_key(path, value, message):
+    data = qubit_scenario()
+    replace_at(data, path, value)
+    with pytest.raises(ScenarioError, match=f"^{message}"):
         parse_scenario(data)
 
 

@@ -235,6 +235,12 @@ def test_history_refuses_an_anchor_that_is_not_normalized():
         HistoryState(*fields, anchors)
 
 
+def test_history_refuses_an_anchor_count_other_than_events_plus_one():
+    history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6))
+    with pytest.raises(DomainError, match=r"anchor count must be event count \+ 1"):
+        HistoryState(history.layout, history.h_system, history.schedule, history.t0, history.anchors[:-1])
+
+
 @pytest.mark.parametrize("moves_ready_weight", [False, True], ids=["keeps-ready-slot", "moves-ready-slot"])
 def test_kraus_on_a_later_record_fails_before_allocating(moves_ready_weight):
     # D1 fires at t=1 with a Kraus on S and on the record of D2, which fires at t=2.
@@ -311,6 +317,8 @@ def test_build_history_rejects_bad_inputs():
         build_history(StateVector(S, [1, 1]), 0.0, h, sched)  # not normalized
     with pytest.raises(DomainError):
         build_history(psi0, 0.0, Operator(S, [[0, 1], [0, 0]]), sched)  # not Hermitian
+    with pytest.raises(LayoutError, match="initial state's layout"):
+        build_history(psi0, 0.0, Operator(SubsystemLayout.of(("T", 2)), np.zeros((2, 2))), sched)
     with pytest.raises(LayoutError):
         build_history(psi0, 0.0, h, EventSchedule(((1.0, projective_detector("S")),)))
 

@@ -199,6 +199,13 @@ def test_tables_between_events_show_friend_outcomes_only():
     assert result.marginal_f.value({FRIEND: "up"}) == pytest.approx(0.36, abs=1e-12)
 
 
+def test_value_refuses_a_detector_the_table_does_not_have():
+    result = tables(WignerScenario(0.6, 0.8, 1, 0), 3.0)
+    assert result.joint.value({WIGNER: "yes", FRIEND: "down"}) == 0.0
+    with pytest.raises(KeyError, match=r"no detector \['F'\] in table over \('W',\)"):
+        result.marginal_w.value({WIGNER: "yes", FRIEND: "down"})
+
+
 def test_tables_wrap_the_arrays_they_make_without_a_copy(monkeypatch):
     frozen, seen = qtimeline.probability._frozen, []
 
