@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -32,6 +33,16 @@ class DomainError(ValueError):
     """Input violates a mathematical precondition of the operation."""
 
 
+def _factor(factor: tuple[str, int]) -> tuple[str, int]:
+    """``factor`` as a layout holds it; LayoutError unless its dimension is a Python or numpy integer >= 1."""
+    label, dim = factor
+    if not isinstance(dim, (int, np.integer)):
+        raise LayoutError(f"dimension {dim!r} of subsystem {label!r} is not an integer")
+    if dim < 1:
+        raise LayoutError("every subsystem dimension must be >= 1")
+    return str(label), int(dim)
+
+
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered, uniquely labeled tensor factors.
@@ -44,17 +55,24 @@ class SubsystemLayout:
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple([(str(label), int(dim)) for label, dim in self.factors])
-        object.__setattr__(self, "factors", factors)
+        self._settle(self.factors, ())
+
+    def _derive(self, factors: tuple[tuple[str, int], ...]) -> "SubsystemLayout":
+        """The layout over ``factors``: this layout's, some resized, then new ones; only those are checked."""
+        return object.__new__(SubsystemLayout)._settle(factors, self.factors)
+
+    def _settle(self, factors, checked) -> "SubsystemLayout":
+        """Store ``factors``, each through ``_factor`` unless ``checked`` holds it at its place; no label twice."""
+        factors = tuple([old if new == old else _factor(new) for new, old in zip_longest(factors, checked)])
         labels, dims = tuple(zip(*factors)) or ((), ())
         if len(set(labels)) != len(labels):
             raise LayoutError(f"duplicate subsystem labels: {list(labels)}")
-        if min(dims, default=1) < 1:
-            raise LayoutError("every subsystem dimension must be >= 1")
+        object.__setattr__(self, "factors", factors)
         # Derived once; plain attributes, not fields, so eq, hash and repr see only ``factors``.
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dim", math.prod(dims))
+        return self
 
     @classmethod
     def of(cls, *factors: tuple[str, int]) -> "SubsystemLayout":
@@ -152,12 +170,12 @@ class Operator:
             return bool(abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(w, v, v^dag)`` from ``eigh`` of the matrix, computed once; DomainError if it is not Hermitian."""
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """``(w, v, v^dag, max|w|)`` from ``eigh`` of the matrix, computed once; DomainError unless Hermitian."""
         if not self.is_hermitian():
             raise DomainError(f"matrix is not Hermitian (tolerance {TOL_PREDICATE:g})")
         w, v = np.linalg.eigh(self.matrix)
-        return w, v, v.conj().T
+        return w, v, v.conj().T, float(abs(w).max())
 
     def is_unitary(self, tol: float = TOL_PREDICATE) -> bool:
         product = self.matrix.conj().T @ self.matrix
@@ -190,14 +208,12 @@ def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np
 
 
 def _unitary(h: Operator, dt: float) -> np.ndarray:
-    """The matrix of ``propagator`` over ``dt``, with no Operator around it; DomainError for a non-finite phase
-    w*dt (an infinite reading, finite readings an overflowing interval apart, an eigenvalue that overflows)."""
-    w, v, v_dag = h._spectrum
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = w * (-1j * dt)
-    if not np.isfinite(phases).all():
-        raise DomainError(f"propagator phase w*dt is not finite: interval {dt}, largest |w| {abs(w).max()}")
-    return (v * np.exp(phases)) @ v_dag
+    """The matrix of ``propagator`` over ``dt``, with no Operator around it; DomainError for a non-finite phase w*dt
+    (exactly when |dt| * max|w| is not finite: it rounds as the largest |w*dt| does, and 0 * inf is NaN)."""
+    w, v, v_dag, w_max = h._spectrum
+    if not math.isfinite(abs(float(dt)) * w_max):
+        raise DomainError(f"propagator phase w*dt is not finite: interval {dt}, largest |w| {w_max}")
+    return (v * np.exp(w * (-1j * dt))) @ v_dag
 
 
 def propagator(h: Operator, t: float, t0: float) -> Operator:

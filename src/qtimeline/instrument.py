@@ -143,7 +143,7 @@ def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
     isometry and preserves the norm.
     """
     # A state that already carries the record fails here, as a duplicate label.
-    layout = SubsystemLayout(state.layout.factors + ((det.detector_label, len(det.kraus.outcomes)),))
+    layout = state.layout._derive(state.layout.factors + ((det.detector_label, len(det.kraus.outcomes)),))
     branches = _contract(det.kraus.matrices, det.kraus.target_layout, state.layout.labels, state.as_tensor())
     amplitudes = branches.reshape(-1)
     amplitudes.setflags(write=False)

@@ -27,11 +27,10 @@ def _embed_naive(matrix: np.ndarray, target_axes, dims) -> np.ndarray:
     """Elementwise identity-padding of ``matrix`` onto the listed axes."""
     full_dim = int(np.prod(dims))
     target_dims = [dims[ax] for ax in target_axes]
+    digits = [_index_digits(index, dims) for index in range(full_dim)]
     out = np.zeros((full_dim, full_dim), dtype=np.complex128)
-    for i in range(full_dim):
-        di = _index_digits(i, dims)
-        for j in range(full_dim):
-            dj = _index_digits(j, dims)
+    for i, di in enumerate(digits):
+        for j, dj in enumerate(digits):
             if any(di[k] != dj[k] for k in range(len(dims)) if k not in target_axes):
                 continue
             row = 0

@@ -156,7 +156,7 @@ def history_layout(system: SubsystemLayout, schedule: EventSchedule) -> Subsyste
     not exceed ``MAX_DENSE_DIM`` (DomainError).
     """
     records = tuple((det.detector_label, det.ancilla_dim) for _, det in schedule.events)
-    full = SubsystemLayout(system.factors + records)
+    full = system._derive(system.factors + records)
     present = dict(system.factors)
     targeted = set()
     for _, det in schedule.events:
@@ -235,7 +235,7 @@ def build_history(
         targets = dict(det.kraus.target_layout.factors)
         factors = tuple((label, targets.get(label, dim)) for label, dim in stored.factors)
         if factors != stored.factors:  # a Kraus on a record needs its whole ancilla
-            state = _pad(amplitudes, stored, SubsystemLayout(factors))
+            state = _pad(amplitudes, stored, stored._derive(factors))
         else:
             state = StateVector(stored, amplitudes)
         anchors.append(apply_instrument(state, det))

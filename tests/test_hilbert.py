@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,48 @@ def test_layout_rejects_duplicates_and_bad_dims():
         SubsystemLayout.of(("S", 2), ("S", 3))
     with pytest.raises(LayoutError):
         SubsystemLayout.of(("S", 0))
+
+
+# A derived layout keeps the checked layout's factors and checks only what it adds or
+# resizes; it must be the layout the public constructor makes from the same factors.
+# A dimension is a Python or numpy integer: np.int64 is taken as an int, 2.5 or "2" refused.
+CHECKED = SubsystemLayout.of(("S", 2), ("Q", 3), ("D1", 2))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        CHECKED.factors,
+        CHECKED.factors + (("D2", 4),),
+        CHECKED.factors + (("D2", 4), ("D3", np.int64(2)), (5, 2)),
+        (("S", 2), ("Q", 3), ("D1", 3)),
+        (("S", 2), ("Q", 3), ("D1", 3), ("D2", 2)),
+    ],
+    ids=["unchanged", "appended", "several-appended", "resized", "resized-and-appended"],
+)
+def test_a_derived_layout_is_the_constructed_one(factors):
+    derived, built = CHECKED._derive(factors), SubsystemLayout(factors)
+    assert derived.factors == built.factors and derived.labels == built.labels
+    assert derived.dims == built.dims and derived.dim == built.dim
+    assert derived == built and hash(derived) == hash(built) and repr(derived) == repr(built)
+    for lay in (derived, built):
+        assert all(type(label) is str and type(dim) is int for label, dim in lay.factors) and type(lay.dim) is int
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        (CHECKED.factors + (("Q", 2),), r"^duplicate subsystem labels: \['S', 'Q', 'D1', 'Q'\]$"),
+        (CHECKED.factors + (("D2", 2.5),), r"^dimension 2.5 of subsystem 'D2' is not an integer$"),
+        ((("S", 2), ("Q", 3), ("D1", "2")), r"^dimension '2' of subsystem 'D1' is not an integer$"),
+        (CHECKED.factors + (("D2", 0),), r"^every subsystem dimension must be >= 1$"),
+    ],
+    ids=["duplicate", "float-appended", "string-resized", "zero-appended"],
+)
+def test_a_derived_layout_refuses_what_the_constructor_refuses(factors, message):
+    for make in (SubsystemLayout, CHECKED._derive):
+        with pytest.raises(LayoutError, match=message):
+            make(factors)
 
 
 def test_layout_dim_is_product():
@@ -230,6 +273,23 @@ def test_propagator_refuses_a_phase_that_is_not_finite(entry, dt):
     h = Operator(qubit(), np.full((2, 2), entry))  # Hermitian, with eigenvalues 0 and 2 * entry
     with pytest.raises(DomainError, match=r"phase w\*dt is not finite"):
         propagator(h, dt, 0.0)
+
+
+@given(
+    eigenvalues=st.lists(st.sampled_from([0.0, 1e308, -1e308]) | st.floats(-1e3, 1e3), min_size=1, max_size=3),
+    dt=st.sampled_from([0.0, math.inf, -math.inf, math.nan, 1e308, -1e308]) | st.floats(-1e3, 1e3),
+)
+@settings(max_examples=300, deadline=None)
+def test_propagator_refuses_exactly_the_phases_that_are_not_finite(eigenvalues, dt):
+    h = Operator(SubsystemLayout.of(("S", len(eigenvalues))), np.diag(eigenvalues))
+    w, v, v_dag, _ = h._spectrum
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = w * (-1j * dt)
+    if np.isfinite(phases).all():
+        assert np.array_equal(_unitary(h, dt), (v * np.exp(phases)) @ v_dag)
+    else:
+        with pytest.raises(DomainError, match=r"^propagator phase w\*dt is not finite: interval "):
+            _unitary(h, dt)
 
 
 @given(

@@ -248,7 +248,7 @@ def test_apply_instrument_matches_embedded_kraus_reference(targets, n_outcomes):
 def test_apply_instrument_refuses_a_state_that_carries_the_record():
     det = DetectorModel("F", projective_updown())
     for carried in (tensor(basis_state(S, 0), ready(det)), apply_instrument(basis_state(S, 0), det)):
-        with pytest.raises(LayoutError, match="duplicate subsystem labels"):
+        with pytest.raises(LayoutError, match=r"^duplicate subsystem labels: \['S', 'F', 'F'\]$"):
             apply_instrument(carried, det)
 
 

@@ -227,6 +227,18 @@ def test_tables_check_each_given_label_once(monkeypatch):
     assert calls == [{FRIEND: "up"}, {WIGNER: "yes"}, {WIGNER: "no"}, {FRIEND: "down"}]
 
 
+def test_building_the_history_checks_no_layout_again_and_enters_no_errstate(monkeypatch):
+    scenario = WignerScenario(0.6, 0.8, 0.6, 0.8)
+    build(scenario)  # the shared generator's spectrum is cached from here on
+    checks, errstates = [], []
+    post_init, errstate = SubsystemLayout.__post_init__, np.errstate
+    monkeypatch.setattr(SubsystemLayout, "__post_init__", lambda self: checks.append(self) or post_init(self))
+    monkeypatch.setattr(np, "errstate", lambda **kwargs: errstates.append(kwargs) or errstate(**kwargs))
+    history = build(scenario)
+    assert checks == [] and errstates == []
+    assert history.layout == SubsystemLayout.of(("S", 2), (FRIEND, 3), (WIGNER, 3))
+
+
 @pytest.mark.parametrize(
     "params, given",
     [((1, 0, 1, 0), {WIGNER: "no"}), ((1, 0, 0, 1), {WIGNER: "yes"}), ((0, 1, 1, 0), {FRIEND: "up"})],
