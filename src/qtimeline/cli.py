@@ -18,7 +18,7 @@ from .hilbert import DomainError
 from .probability import (ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable, conditional, full_table,
                           joint, marginal)
 from .scenario import ScenarioError, dump_scenario, load_scenario, parse_query_string
-from .timeline import HistoryState, build_history, history_layout
+from .timeline import HistoryState, build_history
 from .wigner import FRIEND, WIGNER, WignerScenario, tables, unit_pair
 
 PRETTY_DIGITS = 6
@@ -91,7 +91,7 @@ def _cmd_simulate(args) -> int:
     try:
         scenario = load_scenario(args.file)
         history = build_history(scenario.psi0, scenario.t0, scenario.h_system, scenario.schedule)
-    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the anchor size limit, a non-finite phase
+    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the phase rule, all a parsed file can fail
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
 
@@ -189,8 +189,7 @@ def _cmd_wigner(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         scenario = load_scenario(args.file)
-        history_layout(scenario.psi0.layout, scenario.schedule)
-    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the anchor size limit
+    except (ScenarioError, OSError) as err:
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
     n_events = len(scenario.schedule)

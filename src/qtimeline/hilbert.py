@@ -34,9 +34,9 @@ class DomainError(ValueError):
 
 
 def _factor(factor: tuple[str, int]) -> tuple[str, int]:
-    """``factor`` as a layout holds it; LayoutError unless its dimension is a Python or numpy integer >= 1."""
+    """``factor`` as a layout holds it; LayoutError unless its dimension is a non-bool Python or numpy integer >= 1."""
     label, dim = factor
-    if not isinstance(dim, (int, np.integer)):
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
         raise LayoutError(f"dimension {dim!r} of subsystem {label!r} is not an integer")
     if dim < 1:
         raise LayoutError("every subsystem dimension must be >= 1")
@@ -187,14 +187,13 @@ class Operator:
         return StateVector(self.layout, self.matrix @ state.amplitudes)
 
 
-def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, labels, tens: np.ndarray) -> np.ndarray:
+def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, state: StateVector) -> np.ndarray:
     """Apply ``matrices`` (one matrix on ``op_layout``, or a stack whose axes trail the
-    result) to the factors of ``op_layout`` in ``tens``, whose axes ``labels`` names."""
+    result) to the factors of ``op_layout`` in ``state``, as a tensor over its layout."""
+    tens = state.as_tensor()
     axes = []
     for label, dim in op_layout.factors:
-        if label not in labels:
-            raise LayoutError(f"no subsystem {label!r} in layout {tuple(labels)}")
-        ax = labels.index(label)
+        ax = state.layout.axis(label)
         if tens.shape[ax] != dim:
             raise LayoutError(
                 f"dimension mismatch for {label!r}: operator has {dim}, state has {tens.shape[ax]}"

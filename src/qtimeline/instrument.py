@@ -104,8 +104,6 @@ class DetectorModel:
     def __post_init__(self) -> None:
         if self.ready_label in self.kraus.outcome_labels:
             raise ValidationError(f"ready label {self.ready_label!r} collides with an outcome label")
-        if self.detector_label in self.kraus.target_labels:
-            raise LayoutError("a detector cannot target its own ancilla factor")
         report = validate(self.kraus)
         if not report.ok:
             raise ValidationError(
@@ -144,7 +142,7 @@ def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
     """
     # A state that already carries the record fails here, as a duplicate label.
     layout = state.layout._derive(state.layout.factors + ((det.detector_label, len(det.kraus.outcomes)),))
-    branches = _contract(det.kraus.matrices, det.kraus.target_layout, state.layout.labels, state.as_tensor())
+    branches = _contract(det.kraus.matrices, det.kraus.target_layout, state)
     amplitudes = branches.reshape(-1)
     amplitudes.setflags(write=False)
     return StateVector(layout, amplitudes)

@@ -26,11 +26,13 @@ Each query uses exactly one form: a non-empty ``assignment``, ``target`` with
 ``given`` (which may be empty), or ``"full_table": true`` (JSON ``true`` only).
 A query string names each detector at most once on each side of its ``|``.
 
-A file is checked by the types a library caller uses (``StateVector``,
-``Operator`` and its Hermitian spectrum, ``KrausSet``, ``DetectorModel``,
-``EventSchedule``, ``record_index`` and ``OutcomeQuery`` for queries); their
-errors become :class:`ScenarioError` under the offending file key.  Only the
-JSON form, factor names and ``t0`` are checked here: no constructor sees them.
+A file is checked here for its JSON form only.  Everything else is judged by
+the library a caller uses (``SubsystemLayout``, ``StateVector``, ``Operator``
+and its Hermitian spectrum, ``KrausSet``, ``DetectorModel``, ``EventSchedule``,
+``start_time``, ``history_layout``, ``record_index`` and ``OutcomeQuery`` for
+queries), and its errors become :class:`ScenarioError` under the offending
+file key.  A file that parses is one ``build_history`` accepts up to the
+propagator's phase rule.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import Operator, StateVector, SubsystemLayout, normalized
+from .hilbert import Operator, StateVector, SubsystemLayout, _factor, normalized
 from .instrument import DetectorModel, KrausSet
 from .probability import OutcomeQuery
-from .timeline import EventSchedule, default_t0
+from .timeline import EventSchedule, history_layout, start_time
 
 
 class ScenarioError(ValueError):
@@ -140,10 +142,10 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
         raise ScenarioError("system.factors", "expected a non-empty list of [label, dim] pairs")
     pairs = []
     for i, item in enumerate(factors):
-        pair = isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
-        if not (pair and type(item[1]) is int and item[1] >= 1):  # bool is an int subclass
-            raise ScenarioError(f"system.factors[{i}]", "expected a [label, dim] pair, dim an integer >= 1")
-        pairs.append((item[0], item[1]))
+        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)):
+            raise ScenarioError(f"system.factors[{i}]", "expected a [label, dim] pair")
+        with _at(f"system.factors[{i}]"):
+            pairs.append(_factor(item))
     with _at("system.factors"):
         layout = SubsystemLayout(tuple(pairs))
 
@@ -157,10 +159,10 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
         h_system._spectrum  # DomainError unless Hermitian; build_history reads the cached eigh
 
     t0 = data.get("t0")
-    return psi0, h_system, None if t0 is None else _finite(t0, "system.t0")
+    return psi0, h_system, None if t0 is None else _real(t0, "system.t0")
 
 
-def _parse_event(data, dims: dict[str, int], key: str):
+def _parse_event(data, layout: SubsystemLayout, key: str):
     time = _finite(_require(data, "time", key), f"{key}.time")
     name = _require(data, "detector", key)
     if not isinstance(name, str) or not name:
@@ -169,11 +171,8 @@ def _parse_event(data, dims: dict[str, int], key: str):
     targets = _require(data, "targets", key)
     if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
         raise ScenarioError(f"{key}.targets", "expected a list of factor labels")
-    for label in targets:
-        if label not in dims:
-            raise ScenarioError(f"{key}.targets", f"unknown factor {label!r}")
     with _at(f"{key}.targets"):
-        target_layout = SubsystemLayout(tuple((label, dims[label]) for label in targets))
+        target_layout = SubsystemLayout(tuple((label, layout.dim_of(label)) for label in targets))
 
     raw_kraus = _require(data, "kraus", key)
     if not isinstance(raw_kraus, list) or not raw_kraus:
@@ -234,26 +233,21 @@ def parse_scenario(data) -> Scenario:
         raise ScenarioError("", "top level must be an object")
     psi0, h_system, t0 = _parse_system(_require(data, "system", ""))
 
-    dims = dict(psi0.layout.factors)
+    layout = psi0.layout  # grows by each record, so an event may target the records fired before it
     raw_events = _require(data, "events", "")
     if not isinstance(raw_events, list):
         raise ScenarioError("events", "expected a list")
     events = []
     for i, raw in enumerate(raw_events):
-        time, det = _parse_event(raw, dims, f"events[{i}]")
-        if det.detector_label in dims:
-            message = f"label {det.detector_label!r} collides with an existing factor"
-            raise ScenarioError(f"events[{i}].detector", message)
-        dims[det.detector_label] = det.ancilla_dim
+        time, det = _parse_event(raw, layout, f"events[{i}]")
+        with _at(f"events[{i}].detector"):
+            layout = layout._derive(layout.factors + ((det.detector_label, det.ancilla_dim),))
         events.append((time, det))
     with _at("events"):
         schedule = EventSchedule(tuple(events))
-
-    if t0 is None:
-        with _at("system.t0"):
-            t0 = default_t0(schedule.times[0]) if schedule.times else 0.0
-    elif schedule.times and t0 >= schedule.times[0]:
-        raise ScenarioError("system.t0", f"t0={t0} must precede the first event at {schedule.times[0]}")
+        history_layout(psi0.layout, schedule)  # the size limit of the history the file describes
+    with _at("system.t0"):
+        t0 = start_time(t0, schedule)
 
     raw_queries = data.get("queries", [])
     if not isinstance(raw_queries, list):

@@ -49,15 +49,6 @@ class ScheduleError(ValueError):
     """Event times are not finite and strictly increasing, or t0 is not before them."""
 
 
-def default_t0(first_time: float) -> float:
-    """Start used when none is given: one unit before the first event, or the next float
-    below it once rounding loses that unit (|t| >= 2**53); ScheduleError if none is finite."""
-    t0 = min(first_time - 1.0, math.nextafter(first_time, -math.inf))
-    if not math.isfinite(t0):
-        raise ScheduleError(f"no finite t0 precedes the first event at {first_time}")
-    return t0
-
-
 @dataclass(frozen=True, eq=False)
 class EventSchedule:
     """Strictly increasing measurement times with attached detectors; ``times``
@@ -84,6 +75,22 @@ class EventSchedule:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+def start_time(t0: float | None, schedule: EventSchedule) -> float:
+    """A history's start: ``t0``, or for None 0 with no events, else one unit before the first event, or the
+    next float below it once rounding loses that unit (|t| >= 2**53).  ScheduleError unless it is finite and
+    before the first event."""
+    first = schedule.times[0] if schedule.times else math.inf
+    if t0 is None:
+        t0 = min(first - 1.0, math.nextafter(first, -math.inf)) if schedule.times else 0.0
+        if not math.isfinite(t0):
+            raise ScheduleError(f"no finite t0 precedes the first event at {first}")
+    elif not math.isfinite(t0):
+        raise ScheduleError(f"t0={t0} must be finite")
+    elif not t0 < first:
+        raise ScheduleError(f"t0={t0} must precede the first event at {first}")
+    return t0
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +215,8 @@ def build_history(
 ) -> HistoryState:
     """Assemble the piecewise history of a schedule of measurements.
 
-    Anchor 0 is ``psi0`` at ``t0``: no detector has fired, so it stores no
-    record.  Each later anchor is produced by freely evolving the previous one
+    Anchor 0 is ``psi0`` at ``t0``, as ``start_time`` judges it: no detector
+    has fired, so it stores no record.  Each later anchor is produced by freely evolving the previous one
     to the event time, giving every record that event's Kraus acts on its whole
     ancilla basis, and appending the event's record; the final segment extends
     to +infinity.  Detector self-dynamics is trivial, so records persist
@@ -222,10 +229,7 @@ def build_history(
     h_system._spectrum  # DomainError unless Hermitian, even when no event ever evolves the state
     if not psi0.is_normalized:
         raise DomainError("initial state must be normalized")
-    if not math.isfinite(t0):
-        raise ScheduleError(f"t0={t0} must be finite")
-    if len(schedule) and not t0 < schedule.times[0]:
-        raise ScheduleError(f"t0={t0} must precede the first event at {schedule.times[0]}")
+    t0 = start_time(t0, schedule)
 
     full = history_layout(psi0.layout, schedule)
     anchors = [psi0]

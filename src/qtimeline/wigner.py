@@ -18,7 +18,7 @@ import numpy as np
 from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, normalized
 from .instrument import DetectorModel, KrausSet
 from .probability import ProbabilityTable, _nonnull, full_table
-from .timeline import EventSchedule, HistoryState, build_history, default_t0
+from .timeline import EventSchedule, HistoryState, build_history, start_time
 
 SYSTEM = "S"
 FRIEND = "F"
@@ -100,7 +100,7 @@ def build(scenario: WignerScenario) -> HistoryState:
     The system has no free dynamics, so segment anchors are constant in time
     and only the event ordering matters.
     """
-    return build_history(scenario.psi0, default_t0(scenario.t_m), _H_ZERO, scenario.schedule)
+    return build_history(scenario.psi0, start_time(None, scenario.schedule), _H_ZERO, scenario.schedule)
 
 
 @dataclass(frozen=True)

@@ -492,6 +492,7 @@ def test_package_and_cli_do_not_import_scipy():
         (("queries", 0, "t"), float("nan")),
         (("system", "factors", 0), ["S", 2.7]),
         (("system", "factors", 0), ["S", "x"]),
+        (("system", "factors", 0), ["S", True]),
     ],
 )
 def test_malformed_numbers_are_validation_errors(tmp_path, capsys, path, value):
@@ -507,12 +508,13 @@ def test_malformed_numbers_are_validation_errors(tmp_path, capsys, path, value):
     capsys.readouterr()
 
 
-def write_large_scenario(tmp_path):
-    """A qubit with 30 binary detectors: 2 * 3**30 amplitudes, over the dense limit."""
+def write_large_scenario(tmp_path, count=30):
+    """A qubit with ``count`` binary detectors: a last anchor of 2 * 2**count amplitudes, over the dense
+    limit from 24 detectors on."""
     data = json.loads(write_scenario(tmp_path).read_text())
     data["events"] = [
         {"time": float(k), "detector": f"M{k}", "targets": ["S"], "kraus": projective_kraus()}
-        for k in range(1, 31)
+        for k in range(1, count + 1)
     ]
     path = tmp_path / "large.json"
     path.write_text(json.dumps(data))
@@ -529,6 +531,16 @@ def test_validate_too_large_history_is_validation_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the limit" in captured.err
+
+
+@pytest.mark.parametrize("command", ["validate", "export", "simulate"])
+def test_every_file_command_gives_the_parse_verdict_on_a_too_large_history(tmp_path, capsys, command):
+    path = write_large_scenario(tmp_path, count=25)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{path}: events: last anchor of {2 * 2**25} amplitudes (system and stored records) "
+                            f"exceeds the limit of {2**24} amplitudes\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

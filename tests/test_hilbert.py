@@ -38,7 +38,7 @@ def test_layout_rejects_duplicates_and_bad_dims():
 
 # A derived layout keeps the checked layout's factors and checks only what it adds or
 # resizes; it must be the layout the public constructor makes from the same factors.
-# A dimension is a Python or numpy integer: np.int64 is taken as an int, 2.5 or "2" refused.
+# A dimension is a Python or numpy integer: np.int64 is taken as an int, 2.5, "2" or a bool refused.
 CHECKED = SubsystemLayout.of(("S", 2), ("Q", 3), ("D1", 2))
 
 
@@ -69,13 +69,21 @@ def test_a_derived_layout_is_the_constructed_one(factors):
         (CHECKED.factors + (("D2", 2.5),), r"^dimension 2.5 of subsystem 'D2' is not an integer$"),
         ((("S", 2), ("Q", 3), ("D1", "2")), r"^dimension '2' of subsystem 'D1' is not an integer$"),
         (CHECKED.factors + (("D2", 0),), r"^every subsystem dimension must be >= 1$"),
+        (CHECKED.factors + (("D2", True),), r"^dimension True of subsystem 'D2' is not an integer$"),
+        ((("S", np.bool_(True)), ("Q", 3), ("D1", 2)), r"^dimension (np\.)?True_? of subsystem 'S' is not an integer$"),
     ],
-    ids=["duplicate", "float-appended", "string-resized", "zero-appended"],
+    ids=["duplicate", "float-appended", "string-resized", "zero-appended", "bool-appended", "numpy-bool-resized"],
 )
 def test_a_derived_layout_refuses_what_the_constructor_refuses(factors, message):
     for make in (SubsystemLayout, CHECKED._derive):
         with pytest.raises(LayoutError, match=message):
             make(factors)
+
+
+@pytest.mark.parametrize("lookup", [CHECKED.axis, CHECKED.dim_of], ids=["axis", "dim_of"])
+def test_a_lookup_of_a_missing_label_names_the_layout(lookup):
+    with pytest.raises(LayoutError, match=r"^no subsystem 'X' in layout \('S', 'Q', 'D1'\)$"):
+        lookup("X")
 
 
 def test_layout_dim_is_product():
@@ -223,7 +231,7 @@ def test_contract_agrees_with_embed(seed):
     op = Operator(op_lay, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     state = StateVector(full, rng.normal(size=12) + 1j * rng.normal(size=12))
     via_embed = embed(op, op_lay.labels, full).apply(state)
-    via_axes = _contract(op.matrix, op_lay, full.labels, state.as_tensor())
+    via_axes = _contract(op.matrix, op_lay, state)
     np.testing.assert_allclose(via_axes.reshape(-1), via_embed.amplitudes, atol=1e-12)
 
 

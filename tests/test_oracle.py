@@ -21,6 +21,7 @@ from qtimeline.timeline import EventSchedule, build_history
 from qtimeline.wigner import friend_detector, wigner_detector
 
 from helpers import all_assignments, closed_form_joint, random_unit_pair
+from oracle_agreement import oracle_joints
 from reference import basis_state, tensor
 
 S = SubsystemLayout.of(("S", 2))
@@ -149,36 +150,19 @@ def test_oracle_requires_every_outcome():
         sequential_born(basis_state(S, 0), h_zero, schedule, {})
 
 
+def test_oracle_rejects_a_hamiltonian_factor_the_state_lacks():
+    schedule = EventSchedule(((1.0, projective_detector()),))
+    h_other = Operator(SubsystemLayout.of(("Q", 2)), np.zeros((2, 2)))
+    with pytest.raises(LayoutError, match="^Hamiltonian factor 'Q' not in oracle state layout$"):
+        sequential_born(basis_state(S, 0), h_other, schedule, {"M": "up"})
+
+
 def test_oracle_rejects_missing_target_factor():
     wd = wigner_detector(1.0, 0.0)  # acts on S and F, but psi0 has no F factor
     schedule = EventSchedule(((1.0, wd),))
     h_zero = Operator(S, np.zeros((2, 2)))
     with pytest.raises(LayoutError):
         sequential_born(basis_state(S, 0), h_zero, schedule, {"W": "yes"})
-
-
-def oracle_joints(sample, k: int) -> dict[tuple[str, ...], float]:
-    """Oracle joints after the first ``k`` events, keyed like ``full_table`` rows.
-
-    Every detector still to fire shows its ready label.  A fired record that a
-    later fired Kraus acts on can also read its ready label again, so those
-    records range over their ready label as well.
-    """
-    events = sample.schedule.events
-    fired = EventSchedule(events[:k])
-    psi = propagator(sample.h_system, fired.times[0], sample.t0).apply(sample.psi0)
-    targeted = {label for _, det in fired.events for label in det.kraus.target_labels}
-    labels = []
-    for _, det in fired.events:
-        labels.append(det.kraus.outcome_labels)
-        if det.detector_label in targeted:
-            psi = tensor(psi, det.record_state(det.ready_label))
-            labels[-1] += (det.ready_label,)
-    pending = tuple(det.ready_label for _, det in events[k:])
-    return {
-        combo + pending: sequential_born(psi, sample.h_system, fired, dict(zip(fired.detector_labels, combo)))
-        for combo in itertools.product(*labels)
-    }
 
 
 @pytest.mark.parametrize("draw", [random_scenario, random_wide_scenario, random_record_scenario])

@@ -119,20 +119,29 @@ def _second_event(data):
     data["events"].append(dict(data["events"][0], time=2.0))
 
 
+# The parser checks only the JSON form; each of these is the library's own message under the file key.
 @pytest.mark.parametrize(
-    "edit, key",
+    "edit, message",
     [
-        (lambda d: d["system"].update(hamiltonian=[[pair(0)]]), r"system\.hamiltonian"),
-        (lambda d: d["events"][0].update(targets=["Q"]), r"events\[0\]\.targets"),
-        (lambda d: d["events"][0].update(targets=["S", "S"]), r"events\[0\]\.targets"),
-        (_second_event, r"events\[1\]\.detector"),
+        (lambda d: d["system"].update(hamiltonian=[[pair(0)]]),
+         r"system\.hamiltonian: matrix shape \(1, 1\) does not match layout dimension 2"),
+        (lambda d: d["events"][0].update(targets=["Q"]),
+         r"events\[0\]\.targets: no subsystem 'Q' in layout \('S',\)"),
+        (lambda d: d["events"][0].update(targets=["S", "S"]),
+         r"events\[0\]\.targets: duplicate subsystem labels: \['S', 'S'\]"),
+        (_second_event, r"events\[1\]\.detector: duplicate subsystem labels: \['S', 'M', 'M'\]"),
+        (lambda d: d["system"]["factors"].__setitem__(0, ["S", True]),
+         r"system\.factors\[0\]: dimension True of subsystem 'S' is not an integer"),
+        (lambda d: d["events"][0].update(targets=["S", "M"]),
+         r"events\[0\]\.targets: no subsystem 'M' in layout \('S',\)"),
     ],
-    ids=["hamiltonian-shape", "unknown-target", "repeated-target", "detector-collision"],
+    ids=["hamiltonian-shape", "unknown-target", "repeated-target", "detector-collision", "bool-dimension",
+         "own-record"],
 )
-def test_constructor_errors_name_the_file_key(edit, key):
+def test_constructor_errors_name_the_file_key(edit, message):
     data = qubit_scenario()
     edit(data)
-    with pytest.raises(ScenarioError, match=rf"^{key}: "):
+    with pytest.raises(ScenarioError, match=rf"^{message}$"):
         parse_scenario(data)
 
 
@@ -252,9 +261,10 @@ def test_parse_rejects_malformed_numbers(path, value, key):
         (("events", 0, "kraus"), [], r"events\[0\]\.kraus: expected a non-empty list"),
         (("events", 0, "ready_label"), "", r"events\[0\]\.ready_label: expected a non-empty string"),
         (("queries", 0), {"t": 2.0, "target": {}, "given": {"M": 1}}, r"queries\[0\]\.given: expected an object"),
+        (("queries", 0), {"t": 2.0, "assignment": {}}, r"queries\[0\]\.assignment: must name at least one detector$"),
     ],
     ids=["time-beyond-float-range", "ragged-rows", "queries-object", "empty-detector", "empty-kraus",
-         "empty-ready-label", "non-string-given-label"],
+         "empty-ready-label", "non-string-given-label", "empty-assignment"],
 )
 def test_json_form_errors_name_the_file_key(path, value, message):
     data = qubit_scenario()

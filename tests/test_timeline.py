@@ -24,6 +24,7 @@ from qtimeline.timeline import (
     build_history,
     constraint_residual,
     history_layout,
+    start_time,
     state_at,
 )
 from qtimeline.wigner import WignerScenario, build as build_wigner
@@ -321,6 +322,48 @@ def test_build_history_rejects_bad_inputs():
         build_history(psi0, 0.0, Operator(SubsystemLayout.of(("T", 2)), np.zeros((2, 2))), sched)
     with pytest.raises(LayoutError):
         build_history(psi0, 0.0, h, EventSchedule(((1.0, projective_detector("S")),)))
+
+
+@pytest.mark.parametrize(
+    "t0, times, expected",
+    [(None, (), 0.0), (None, (1.0,), 0.0), (None, (-1e17,), math.nextafter(-1e17, -math.inf)), (-2.5, (1.0,), -2.5),
+     (5.0, (), 5.0)],
+    ids=["default-no-events", "default", "default-beyond-2-pow-53", "given", "given-no-events"],
+)
+def test_start_time_is_the_given_start_or_the_default(t0, times, expected):
+    schedule = EventSchedule(tuple((t, projective_detector(f"M{k}")) for k, t in enumerate(times)))
+    assert start_time(t0, schedule) == expected
+
+
+@pytest.mark.parametrize(
+    "t0, times, message",
+    [
+        (None, (-np.finfo(float).max,), r"no finite t0 precedes the first event at -1\.79"),
+        (math.nan, (), r"t0=nan must be finite"),
+        (-math.inf, (1.0,), r"t0=-inf must be finite"),
+        (1.0, (1.0,), r"t0=1.0 must precede the first event at 1.0"),
+    ],
+    ids=["no-finite-default", "nan", "infinite", "not-before-the-first-event"],
+)
+def test_start_time_refuses_a_start_that_is_not_finite_or_not_first(t0, times, message):
+    schedule = EventSchedule(tuple((t, projective_detector(f"M{k}")) for k, t in enumerate(times)))
+    with pytest.raises(ScheduleError, match=f"^{message}"):
+        start_time(t0, schedule)
+
+
+def test_a_detector_that_targets_its_own_record_is_refused_by_the_reachability_rule():
+    # Its record is written when it fires, so it is not "the record of a detector fired before it".
+    targets = SubsystemLayout.of(("S", 2), ("M", 3))
+    kraus = KrausSet(
+        (
+            ("up", Operator(targets, np.kron([[1, 0], [0, 0]], np.eye(3)))),
+            ("down", Operator(targets, np.kron([[0, 0], [0, 1]], np.eye(3)))),
+        )
+    )
+    schedule = EventSchedule(((1.0, DetectorModel("M", kraus)),))
+    message = r"^detector 'M' acts on factor \('M', 3\), which is neither a system factor nor the record of a detector"
+    with pytest.raises(LayoutError, match=message):
+        build_history(basis_state(S, 0), 0.0, Operator(S, np.zeros((2, 2))), schedule)
 
 
 def test_detector_label_collision_between_events():
