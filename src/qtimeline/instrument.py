@@ -94,14 +94,22 @@ class DetectorModel:
     outcome (index i + 1 for outcome i in Kraus order), mutually orthonormal,
     so outcome records are exactly distinguishable and carry zero weight before
     the measurement happens.
-    Construction checks completeness once, so every detector is a complete POVM, and sets ``ancilla_dim``.
+    Construction checks the label rule and completeness (a complete POVM) once, and sets ``ancilla_dim``.
     """
 
     detector_label: str
     kraus: KrausSet
     ready_label: str = "r"
+    _SEPARATORS = frozenset("=,|@")  # of a query string, so no label holds one and a row reads back as a query
 
     def __post_init__(self) -> None:
+        for label in (self.detector_label, self.ready_label, *self.kraus.outcome_labels):
+            if not (isinstance(label, str) and label and label == label.strip() and label.isprintable()
+                    and self._SEPARATORS.isdisjoint(label)):
+                kind = "detector name" if label is self.detector_label else (  # the two are checked first
+                    "ready label" if label is self.ready_label else "outcome label")
+                raise ValidationError(f"{kind} {label!r} must be non-empty printable text without leading or "
+                                      f"trailing whitespace or any of = , | @")
         if self.ready_label in self.kraus.outcome_labels:
             raise ValidationError(f"ready label {self.ready_label!r} collides with an outcome label")
         report = validate(self.kraus)

@@ -70,7 +70,6 @@ class ProbabilityTable:
     detectors: tuple[str, ...]
     labels: tuple[tuple[str, ...], ...]
     weights: np.ndarray
-    t: float
     given: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -88,6 +87,8 @@ class ProbabilityTable:
     def value(self, assignment: Mapping[str, str]) -> float:
         if extra := assignment.keys() - self.detectors:
             raise KeyError(f"no detector {sorted(extra)} in table over {self.detectors}")
+        if missing := set(self.detectors) - assignment.keys():
+            raise KeyError(f"value requires a full assignment; missing {sorted(missing)}")
         key = tuple(assignment[d] for d in self.detectors)
         if (index := _index(self.labels, key)) is None:
             raise KeyError(f"no row {key} in table over {self.detectors}")
@@ -115,8 +116,7 @@ def _index(labels: tuple[tuple[str, ...], ...], key) -> tuple | None:
 
 def _weight(history: HistoryState, k: int, assignments: Mapping[str, str]) -> float:
     """Weight of the records of anchor ``k`` that match ``assignments``; unnamed detectors are summed."""
-    for name, label in assignments.items():
-        history.schedule.detector(name).record_index(label)  # KeyError on an unknown detector or label
+    history.schedule.check(assignments)
     labels, weights = history.records(k)
     index = _index(labels, map(assignments.get, history.schedule.detector_labels))
     return 0.0 if index is None else float(weights[index].sum())
@@ -179,4 +179,4 @@ def full_table(history: HistoryState, t: float) -> ProbabilityTable:
     So the rows always sum to one.
     """
     labels, weights = history.records(history.segment_at(t))  # the anchor's own arrays, no copy
-    return ProbabilityTable(history.schedule.detector_labels, labels, weights, t)
+    return ProbabilityTable(history.schedule.detector_labels, labels, weights)

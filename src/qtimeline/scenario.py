@@ -28,11 +28,11 @@ A query string names each detector at most once on each side of its ``|``.
 
 A file is checked here for its JSON form only.  Everything else is judged by
 the library a caller uses (``SubsystemLayout``, ``StateVector``, ``Operator``
-and its Hermitian spectrum, ``KrausSet``, ``DetectorModel``, ``EventSchedule``,
-``start_time``, ``history_layout``, ``record_index`` and ``OutcomeQuery`` for
-queries), and its errors become :class:`ScenarioError` under the offending
-file key.  A file that parses is one ``build_history`` accepts up to the
-propagator's phase rule.
+and its Hermitian spectrum, ``KrausSet``, ``DetectorModel`` and its label rule,
+``EventSchedule``, ``start_time``, ``history_layout``, and ``EventSchedule.check``
+and ``OutcomeQuery`` for queries), and its errors become :class:`ScenarioError`
+under the offending file key.  A file that parses is one ``build_history``
+accepts up to the propagator's phase rule.
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ class ScenarioError(ValueError):
 
 @contextmanager
 def _at(key: str):
-    """Report a library ``ValueError`` raised in the block as a ScenarioError under ``key``."""
+    """Report a library ``ValueError`` or ``KeyError`` raised in the block as a ScenarioError under ``key``."""
     try:
         yield
-    except ValueError as err:
-        raise ScenarioError(key, str(err)) from None
+    except (ValueError, KeyError) as err:
+        raise ScenarioError(key, err.args[0]) from None
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,8 @@ def _parse_system(data) -> tuple[StateVector, Operator, float | None]:
 def _parse_event(data, layout: SubsystemLayout, key: str):
     time = _finite(_require(data, "time", key), f"{key}.time")
     name = _require(data, "detector", key)
-    if not isinstance(name, str) or not name:
-        raise ScenarioError(f"{key}.detector", "expected a non-empty string")
+    if not isinstance(name, str):
+        raise ScenarioError(f"{key}.detector", "expected a string")
 
     targets = _require(data, "targets", key)
     if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
@@ -180,8 +180,8 @@ def _parse_event(data, layout: SubsystemLayout, key: str):
     entries = []
     for i, item in enumerate(raw_kraus):
         outcome = _require(item, "outcome", f"{key}.kraus[{i}]")
-        if not isinstance(outcome, str) or not outcome:
-            raise ScenarioError(f"{key}.kraus[{i}].outcome", "expected a non-empty string")
+        if not isinstance(outcome, str):
+            raise ScenarioError(f"{key}.kraus[{i}].outcome", "expected a string")
         matrix = _complex_matrix(_require(item, "matrix", f"{key}.kraus[{i}]"), f"{key}.kraus[{i}].matrix")
         with _at(f"{key}.kraus[{i}].matrix"):
             entries.append((outcome, Operator(target_layout, matrix)))
@@ -189,9 +189,9 @@ def _parse_event(data, layout: SubsystemLayout, key: str):
         kraus = KrausSet(tuple(entries))
 
     ready_label = data.get("ready_label", "r")
-    if not isinstance(ready_label, str) or not ready_label:
-        raise ScenarioError(f"{key}.ready_label", "expected a non-empty string")
-    with _at(key):
+    if not isinstance(ready_label, str):
+        raise ScenarioError(f"{key}.ready_label", "expected a string")
+    with _at(key):  # the label rule and completeness
         return time, DetectorModel(name, kraus, ready_label=ready_label)
 
 
@@ -207,25 +207,16 @@ def _parse_query(data, schedule: EventSchedule, key: str) -> OutcomeQuery:
             raise ScenarioError(f"{key}.full_table", "expected true")
         return OutcomeQuery({}, t)
     if conditional:
-        target = _str_map(_require(data, "target", key), f"{key}.target")
-        given = _str_map(_require(data, "given", key), f"{key}.given")
-        _check_names(target, schedule, f"{key}.target")
-        _check_names(given, schedule, f"{key}.given")
-        with _at(key):
-            return OutcomeQuery(target, t, given)
-    assignment = _str_map(data["assignment"], f"{key}.assignment")
-    if not assignment:
-        raise ScenarioError(f"{key}.assignment", "must name at least one detector")
-    _check_names(assignment, schedule, f"{key}.assignment")
-    return OutcomeQuery(assignment, t)
-
-
-def _check_names(assignment: dict[str, str], schedule: EventSchedule, key: str) -> None:
-    for det_name, outcome in assignment.items():
-        try:
-            schedule.detector(det_name).record_index(outcome)  # the label rule of every probability query
-        except KeyError as err:
-            raise ScenarioError(key, err.args[0]) from None
+        target, given = (_str_map(_require(data, part, key), f"{key}.{part}") for part in ("target", "given"))
+    else:
+        target, given = _str_map(data["assignment"], f"{key}.assignment"), None
+        if not target:
+            raise ScenarioError(f"{key}.assignment", "must name at least one detector")
+    for part, names in ({"target": target, "given": given} if conditional else {"assignment": target}).items():
+        with _at(f"{key}.{part}"):
+            schedule.check(names)
+    with _at(key):
+        return OutcomeQuery(target, t, given)
 
 
 def parse_scenario(data) -> Scenario:
@@ -338,7 +329,7 @@ def parse_query_string(text: str, schedule: EventSchedule) -> OutcomeQuery:
         return pairs
 
     body = body.strip()
-    if body in ("full-table", "full", "table"):
+    if body == "full-table":
         data = {"t": t, "full_table": True}
     elif "|" in body:
         target_part, _, given_part = body.partition("|")

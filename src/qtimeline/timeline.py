@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class EventSchedule:
                 return det
         raise KeyError(f"no detector {label!r} in schedule; have {self.detector_labels}")
 
+    def check(self, assignment: dict[str, str]) -> None:
+        """KeyError unless each name is a scheduled detector and each label one it can show: the query rule."""
+        for name, label in assignment.items():
+            self.detector(name).record_index(label)
+
     def __len__(self) -> int:
         return len(self.events)
 
@@ -100,11 +106,9 @@ class HistoryState:
     Segment k runs from event k (from -inf for k = 0) up to event k+1 (to +inf
     after the last event); ``anchors[k]`` is its state at ``anchor_time(k)``,
     over the system factors and the records of the first k detectors.
-    ``layout`` is the full layout that ``state_at`` returns states on.
     Construction checks that every anchor is normalized.
     """
 
-    layout: SubsystemLayout
     h_system: Operator
     schedule: EventSchedule
     t0: float
@@ -141,6 +145,11 @@ class HistoryState:
         w.setflags(write=False)
         self._records[k] = ((*shown, *((det.ready_label,) for det in detectors[k:])), w)
         return self._records[k]
+
+    @cached_property
+    def layout(self) -> SubsystemLayout:
+        """The full layout, ``history_layout`` of the system and the schedule, that ``state_at`` returns states on."""
+        return history_layout(self.h_system.layout, self.schedule)
 
     def segment_at(self, t: float) -> int:
         """Index of the segment holding the clock reading ``t``."""
@@ -209,7 +218,7 @@ def _evolve(h: Operator, state: StateVector, t: float, t_from: float) -> np.ndar
 
 def build_history(
     psi0: StateVector,
-    t0: float,
+    t0: float | None,
     h_system: Operator,
     schedule: EventSchedule,
 ) -> HistoryState:
@@ -231,7 +240,7 @@ def build_history(
         raise DomainError("initial state must be normalized")
     t0 = start_time(t0, schedule)
 
-    full = history_layout(psi0.layout, schedule)
+    history_layout(psi0.layout, schedule)  # its checks, before anything is allocated
     anchors = [psi0]
     for (t_k, det), t_prev in zip(schedule.events, (t0,) + schedule.times):
         stored = anchors[-1].layout
@@ -244,7 +253,7 @@ def build_history(
             state = StateVector(stored, amplitudes)
         anchors.append(apply_instrument(state, det))
 
-    return HistoryState(full, h_system, schedule, t0, tuple(anchors))
+    return HistoryState(h_system, schedule, t0, tuple(anchors))
 
 
 def state_at(history: HistoryState, t: float) -> StateVector:

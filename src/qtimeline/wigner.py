@@ -18,7 +18,7 @@ import numpy as np
 from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, normalized
 from .instrument import DetectorModel, KrausSet
 from .probability import ProbabilityTable, _nonnull, full_table
-from .timeline import EventSchedule, HistoryState, build_history, start_time
+from .timeline import EventSchedule, HistoryState, build_history
 
 SYSTEM = "S"
 FRIEND = "F"
@@ -100,7 +100,7 @@ def build(scenario: WignerScenario) -> HistoryState:
     The system has no free dynamics, so segment anchors are constant in time
     and only the event ordering matters.
     """
-    return build_history(scenario.psi0, start_time(None, scenario.schedule), _H_ZERO, scenario.schedule)
+    return build_history(scenario.psi0, None, _H_ZERO, scenario.schedule)
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ def tables(scenario: WignerScenario, t: float) -> WignerTables:
         arr.setflags(write=False)  # made here, so the tables hold them without a copy
     return WignerTables(
         joint=joint,
-        marginal_w=ProbabilityTable((WIGNER,), (w_labels,), p_w, t),
-        marginal_f=ProbabilityTable((FRIEND,), (f_labels,), p_f, t),
-        cond_w_given_f=ProbabilityTable(joint.detectors, joint.labels, w_given_f, t, given=(FRIEND,)),
-        cond_f_given_w=ProbabilityTable(joint.detectors, joint.labels, f_given_w, t, given=(WIGNER,)),
+        marginal_w=ProbabilityTable((WIGNER,), (w_labels,), p_w),
+        marginal_f=ProbabilityTable((FRIEND,), (f_labels,), p_f),
+        cond_w_given_f=ProbabilityTable(joint.detectors, joint.labels, w_given_f, given=(FRIEND,)),
+        cond_f_given_w=ProbabilityTable(joint.detectors, joint.labels, f_given_w, given=(WIGNER,)),
     )

@@ -15,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtimeline
-from qtimeline.cli import main
+from qtimeline.cli import _evaluate_query, main
+from qtimeline.probability import OutcomeQuery, joint
+from qtimeline.sampling import random_record_scenario, random_scenario, random_wide_scenario
+from qtimeline.scenario import parse_query_string
+from qtimeline.timeline import build_history
 
 
 def pair(z):
@@ -660,3 +664,65 @@ def test_no_finite_default_t0_is_a_validation_error(tmp_path, capsys, command):
     assert "no finite t0 precedes the first event" in captured.err
     if command != "wigner":
         assert "system.t0" in captured.err
+
+
+@pytest.mark.parametrize("sampler", [random_scenario, random_wide_scenario, random_record_scenario])
+def test_every_full_table_row_reads_back_as_a_query_of_its_weight(sampler):
+    for seed in range(6):
+        sample = sampler(np.random.default_rng([seed, 18]))
+        history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+        for k in range(len(history.schedule) + 1):
+            t = history.anchor_time(k) + 0.5  # the samplers put their events one unit apart
+            assert history.segment_at(t) == k
+            for row in _evaluate_query(history, OutcomeQuery({}, t)):
+                query = parse_query_string(f"{row.assignment}@t={t!r}", history.schedule)
+                assert joint(history, query) == row.value
+
+
+def test_labels_at_the_edge_of_the_rule_round_trip(tmp_path, capsys):
+    data = json.loads(write_scenario(tmp_path, state=(0.6, 0.8)).read_text())
+    data["events"][0].update(detector="spin meter", ready_label="prêt à mesurer")
+    for entry, label in zip(data["events"][0]["kraus"], ("größer", "↓ down")):
+        entry["outcome"] = label
+    path, table, back = tmp_path / "edge.json", tmp_path / "table.csv", tmp_path / "back.csv"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    for t in ("0.5", "1.5", "3"):
+        assert main(["simulate", str(path), "--query", f"full-table@t={t}", "--csv", str(table)]) == 0
+        rows = read_csv(table)
+        for row in rows:
+            assert main(["simulate", str(path), "--query", f"{row['assignment']}@t={t}", "--csv", str(back)]) == 0
+            assert read_csv(back) == [row]
+    out = capsys.readouterr().out
+    assert "spin meter=prêt à mesurer,N=r" in out and "spin meter=↓ down,N=down" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize(
+    "field, value, refused",
+    [
+        ("detector", "A=B,C", "detector name 'A=B,C'"),
+        ("outcome", "o,0", "outcome label 'o,0'"),
+        ("ready_label", " r", "ready label ' r'"),
+        ("ready_label", "", "ready label ''"),
+    ],
+    ids=["separators-in-name", "comma-in-outcome", "padded-ready-label", "empty-ready-label"],
+)
+def test_a_label_a_query_cannot_carry_is_one_validation_line(tmp_path, capsys, command, field, value, refused):
+    data = json.loads(write_scenario(tmp_path).read_text())
+    (data["events"][0]["kraus"][0] if field == "outcome" else data["events"][0])[field] = value
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{path}: events[0]: {refused} must be non-empty printable text without leading or "
+                            f"trailing whitespace or any of = , | @\n")
+
+
+@pytest.mark.parametrize("body", ["table", "full"])
+def test_full_table_has_one_query_spelling(tmp_path, capsys, body):
+    assert main(["simulate", str(write_scenario(tmp_path)), "--query", f"{body}@t=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"query '{body}@t=3': assignment entry '{body}' is not of the form detector=outcome\n"

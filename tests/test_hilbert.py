@@ -364,4 +364,4 @@ def test_a_history_with_a_non_normalized_anchor_is_refused_before_any_read():
     last = history.anchors[-1]
     anchors = (*history.anchors[:-1], StateVector(last.layout, 1.001 * last.amplitudes))
     with pytest.raises(DomainError, match="normalized"):
-        HistoryState(history.layout, history.h_system, history.schedule, history.t0, anchors)
+        HistoryState(history.h_system, history.schedule, history.t0, anchors)

@@ -114,6 +114,40 @@ def test_kraus_set_needs_an_outcome_and_a_ready_label_of_its_own():
         DetectorModel("M", projective_updown(), ready_label="up")
 
 
+LABEL_RULE = "must be non-empty printable text without leading or trailing whitespace or any of = , | @"
+
+
+@pytest.mark.parametrize(
+    "name, outcome, ready_label, refused",
+    [
+        ("A=B,C", "up", "r", "detector name 'A=B,C'"),
+        ("M", "o,0", "r", "outcome label 'o,0'"),
+        ("M", "up", " r", "ready label ' r'"),
+        ("M", "up", "", "ready label ''"),
+        ("", "up", "r", "detector name ''"),
+        ("M|N", "up", "r", "detector name 'M|N'"),
+        ("M", "up@t", "r", "outcome label 'up@t'"),
+        ("M", "up\n", "r", "outcome label 'up\\n'"),
+        ("M", "up", "\xa0", "ready label '\\xa0'"),
+        (7, "up", "r", "detector name 7"),
+    ],
+    ids=["separators-in-name", "comma-in-outcome", "padded-ready", "empty-ready", "empty-name", "bar-in-name",
+         "at-in-outcome", "newline-in-outcome", "non-printable-ready", "non-string-name"],
+)
+def test_detector_refuses_a_name_or_label_a_query_cannot_carry(name, outcome, ready_label, refused):
+    kraus = KrausSet(((outcome, Operator(S, [[1, 0], [0, 0]])), ("down", Operator(S, [[0, 0], [0, 1]]))))
+    with pytest.raises(ValidationError) as err:
+        DetectorModel(name, kraus, ready_label=ready_label)
+    assert err.value.args[0] == f"{refused} {LABEL_RULE}"
+
+
+@pytest.mark.parametrize("label", ["spin up", "größer", "↑", "r 2", "Ω-1", "a.b:c;d"])
+def test_detector_accepts_inner_spaces_and_non_ascii_labels(label):
+    kraus = KrausSet(((label, Operator(S, [[1, 0], [0, 0]])), ("down", Operator(S, [[0, 0], [0, 1]]))))
+    det = DetectorModel(label, kraus, ready_label=f"{label} ready")
+    assert det.record_index(label) == 1 and det.record_index(f"{label} ready") == 0
+
+
 def test_effect_of_projective_case():
     np.testing.assert_allclose(effect(projective_updown(), "up"), [[1, 0], [0, 0]], atol=1e-14)
 

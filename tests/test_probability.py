@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -21,7 +22,7 @@ from qtimeline.probability import (
 )
 from qtimeline.sampling import random_scenario, random_wide_scenario
 from qtimeline.timeline import EventSchedule, build_history, state_at
-from qtimeline.wigner import WignerScenario, build as build_wigner
+from qtimeline.wigner import WignerScenario, build as build_wigner, tables
 
 from helpers import (
     all_assignments,
@@ -396,14 +397,14 @@ def test_nan_clock_reading_is_a_domain_error():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_probability_table_rejects_non_finite_rows(value):
     with pytest.raises(DomainError, match=rf"non-finite probability {value} for \('down',\)"):
-        ProbabilityTable(("M",), (("up", "down"),), [0.5, value], 1.0)
+        ProbabilityTable(("M",), (("up", "down"),), [0.5, value])
 
 
 def test_probability_table_names_the_first_negative_cell():
     labels = (("up", "down"), ("yes", "no"))
-    ProbabilityTable(("F", "W"), labels, [[0.5, -1e-13], [0.5, 0.0]], 1.0)  # round-off passes
+    ProbabilityTable(("F", "W"), labels, [[0.5, -1e-13], [0.5, 0.0]])  # round-off passes
     with pytest.raises(DomainError, match=r"negative probability -0.001 for \('up', 'no'\)"):
-        ProbabilityTable(("F", "W"), labels, [[0.5, -1e-3], [math.nan, -2e-3]], 1.0)
+        ProbabilityTable(("F", "W"), labels, [[0.5, -1e-3], [math.nan, -2e-3]])
 
 
 @pytest.mark.parametrize(
@@ -413,7 +414,7 @@ def test_probability_table_names_the_first_negative_cell():
 )
 def test_probability_table_refuses_weights_that_do_not_fit_its_labels(detectors, labels):
     with pytest.raises(DomainError, match="do not fit"):
-        ProbabilityTable(detectors, labels, [[0.25, 0.25], [0.5, 0.0]], 1.0)
+        ProbabilityTable(detectors, labels, [[0.25, 0.25], [0.5, 0.0]])
 
 
 def test_twenty_detector_full_table_is_a_view_with_a_small_peak(twenty_detectors):
@@ -446,7 +447,7 @@ def test_full_table_holds_the_anchor_weights_read_only(twenty_detectors):
 
 def test_table_from_a_writable_array_keeps_its_own_copy():
     weights = np.array([[0.25, 0.25], [0.5, 0.0]])
-    table = ProbabilityTable(("F", "W"), (("up", "down"), ("yes", "no")), weights, 1.0)
+    table = ProbabilityTable(("F", "W"), (("up", "down"), ("yes", "no")), weights)
     weights[0, 0] = 0.9
     assert table.value({"F": "up", "W": "yes"}) == 0.25
     assert not np.shares_memory(table.weights, weights)
@@ -470,3 +471,20 @@ def test_value_refuses_an_unlisted_label():
         table.value({"F": "up", "W": "yes"})
     with pytest.raises(KeyError, match="no row"):
         table.value({"F": "maybe", "W": "r"})
+
+
+def test_value_names_the_missing_and_the_extra_detectors():
+    joint_table = tables(WignerScenario(0.6, 0.8, 0.8, 0.6), 3.0).joint
+    for assignment, missing in (({}, ["F", "W"]), ({"W": "yes"}, ["F"])):
+        with pytest.raises(KeyError) as err:
+            joint_table.value(assignment)
+        assert err.value.args[0] == f"value requires a full assignment; missing {missing}"
+    with pytest.raises(KeyError) as err:
+        joint_table.value({"F": "up", "W": "yes", "G": "on"})
+    assert err.value.args[0] == "no detector ['G'] in table over ('F', 'W')"
+
+
+def test_a_table_carries_no_clock_reading():
+    names = [field.name for field in dataclasses.fields(ProbabilityTable)]
+    assert names == ["detectors", "labels", "weights", "given"]
+    assert not hasattr(full_table(wigner_history(0.6, 0.8, 0.8, 0.6), 3.0), "t")

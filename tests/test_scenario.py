@@ -17,6 +17,9 @@ from qtimeline.scenario import (
 )
 from qtimeline.timeline import build_history
 
+# The whole refusal text of DetectorModel's label rule after the label, as a regex.
+LABEL_RULE = r"must be non-empty printable text without leading or trailing whitespace or any of = , \| @$"
+
 
 def pair(z):
     return [float(np.real(z)), float(np.imag(z))]
@@ -134,9 +137,14 @@ def _second_event(data):
          r"system\.factors\[0\]: dimension True of subsystem 'S' is not an integer"),
         (lambda d: d["events"][0].update(targets=["S", "M"]),
          r"events\[0\]\.targets: no subsystem 'M' in layout \('S',\)"),
+        (lambda d: d.update(queries=[{"t": 2.0, "assignment": {"M": "sideways"}}]),
+         r"queries\[0\]\.assignment: detector 'M' has no outcome 'sideways'; "
+         r"have \('up', 'down'\) and ready label 'r'"),
+        (lambda d: d.update(queries=[{"t": 2.0, "target": {"X": "up"}, "given": {}}]),
+         r"queries\[0\]\.target: no detector 'X' in schedule; have \('M',\)"),
     ],
     ids=["hamiltonian-shape", "unknown-target", "repeated-target", "detector-collision", "bool-dimension",
-         "own-record"],
+         "own-record", "unknown-query-label", "unknown-query-detector"],
 )
 def test_constructor_errors_name_the_file_key(edit, message):
     data = qubit_scenario()
@@ -257,14 +265,18 @@ def test_parse_rejects_malformed_numbers(path, value, key):
         (("events", 0, "time"), 10**400, r"events\[0\]\.time: number is too large"),
         (("system", "hamiltonian", 1), [pair(0)], r"system\.hamiltonian: rows have inconsistent lengths"),
         (("queries",), {}, r"queries: expected a list"),
-        (("events", 0, "detector"), "", r"events\[0\]\.detector: expected a non-empty string"),
+        (("events", 0, "detector"), "", rf"events\[0\]: detector name '' {LABEL_RULE}"),
         (("events", 0, "kraus"), [], r"events\[0\]\.kraus: expected a non-empty list"),
-        (("events", 0, "ready_label"), "", r"events\[0\]\.ready_label: expected a non-empty string"),
+        (("events", 0, "ready_label"), "", rf"events\[0\]: ready label '' {LABEL_RULE}"),
         (("queries", 0), {"t": 2.0, "target": {}, "given": {"M": 1}}, r"queries\[0\]\.given: expected an object"),
         (("queries", 0), {"t": 2.0, "assignment": {}}, r"queries\[0\]\.assignment: must name at least one detector$"),
+        (("events", 0, "detector"), 5, r"events\[0\]\.detector: expected a string$"),
+        (("events", 0, "kraus", 1, "outcome"), None, r"events\[0\]\.kraus\[1\]\.outcome: expected a string$"),
+        (("events", 0, "ready_label"), ["r"], r"events\[0\]\.ready_label: expected a string$"),
     ],
     ids=["time-beyond-float-range", "ragged-rows", "queries-object", "empty-detector", "empty-kraus",
-         "empty-ready-label", "non-string-given-label", "empty-assignment"],
+         "empty-ready-label", "non-string-given-label", "empty-assignment", "non-string-detector",
+         "non-string-outcome", "non-string-ready-label"],
 )
 def test_json_form_errors_name_the_file_key(path, value, message):
     data = qubit_scenario()

@@ -228,7 +228,7 @@ def test_record_weights_are_the_anchor_weights_summed_over_the_system():
 
 def test_history_refuses_an_anchor_that_is_not_normalized():
     history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6))
-    fields = (history.layout, history.h_system, history.schedule, history.t0)
+    fields = (history.h_system, history.schedule, history.t0)
     HistoryState(*fields, history.anchors)  # the built anchors pass
     off = history.anchors[1]
     anchors = (history.anchors[0], StateVector(off.layout, off.amplitudes * (1 + 1e-9)), history.anchors[2])
@@ -239,7 +239,22 @@ def test_history_refuses_an_anchor_that_is_not_normalized():
 def test_history_refuses_an_anchor_count_other_than_events_plus_one():
     history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6))
     with pytest.raises(DomainError, match=r"anchor count must be event count \+ 1"):
-        HistoryState(history.layout, history.h_system, history.schedule, history.t0, history.anchors[:-1])
+        HistoryState(history.h_system, history.schedule, history.t0, history.anchors[:-1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_history_derives_its_full_layout_from_its_system_and_schedule(seed):
+    sample = random_wide_scenario(np.random.default_rng([seed, 18]))
+    history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+    assert history.layout == history_layout(sample.psi0.layout, sample.schedule)
+    rebuilt = HistoryState(history.h_system, history.schedule, history.t0, history.anchors)
+    assert rebuilt.layout == history.layout
+    for t in (history.t0, *history.schedule.times, history.schedule.times[-1] + 1.0):
+        state = state_at(rebuilt, t)
+        assert state.layout == history.layout
+        np.testing.assert_array_equal(state.amplitudes, state_at(history, t).amplitudes)
+    with pytest.raises(TypeError):  # the layout is derived, never given
+        HistoryState(history.layout, history.h_system, history.schedule, history.t0, history.anchors)
 
 
 @pytest.mark.parametrize("moves_ready_weight", [False, True], ids=["keeps-ready-slot", "moves-ready-slot"])
