@@ -73,7 +73,7 @@ def _csv_text(rows: list[ResultRow]) -> str:
 def _write_output(path: str, text: str) -> bool:
     """Write ``text`` to ``path``; False, after one stderr line, if it cannot be written."""
     try:
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as err:
         print(f"{path}: {err}", file=sys.stderr)

@@ -250,9 +250,11 @@ def parse_scenario(data) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    text = Path(path).read_text()
+    """The scenario of the UTF-8 JSON file at ``path``, whatever the locale's encoding."""
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ScenarioError("", f"not valid UTF-8: {err}") from None
     except json.JSONDecodeError as err:
         raise ScenarioError("", f"not valid JSON: {err}") from None
     return parse_scenario(data)

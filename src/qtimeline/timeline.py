@@ -210,7 +210,10 @@ def _pad(amplitudes: np.ndarray, stored: SubsystemLayout, layout: SubsystemLayou
 
 def _evolve(h: Operator, state: StateVector, t: float, t_from: float) -> np.ndarray:
     """The amplitudes of ``state`` carried from ``t_from`` to ``t`` by the free flow of ``h``, read-only.
-    The system factors lead every anchor, so one matmul on the system rows moves every record along."""
+    The system factors lead every anchor, so one matmul on the system rows moves every record along.
+    A zero generator (max|w| = 0) moves nothing over a finite interval: its own amplitudes come back."""
+    if h._spectrum[3] == 0.0 and math.isfinite(t - t_from):
+        return state.amplitudes
     amplitudes = (_unitary(h, t - t_from) @ state.amplitudes.reshape(h.layout.dim, -1)).reshape(-1)
     amplitudes.setflags(write=False)
     return amplitudes

@@ -51,7 +51,7 @@ class WignerScenario:
         for name, pair in (("(a, b)", psi0), ("(alpha, beta)", yes)):
             if not pair.is_normalized:
                 raise DomainError(f"amplitudes {name} must satisfy |x|^2 + |y|^2 = 1")
-        events = ((self.t_m, _FRIEND_DETECTOR), (self.t_n, wigner_detector(self.alpha, self.beta)))
+        events = ((self.t_m, _FRIEND_DETECTOR), (self.t_n, _wigner_family(yes.amplitudes)))  # the pair just judged
         object.__setattr__(self, "psi0", psi0)
         object.__setattr__(self, "schedule", EventSchedule(events))
 
@@ -82,12 +82,17 @@ def wigner_detector(alpha: complex, beta: complex) -> DetectorModel:
     The yes vector lies in the correlated subspace {|up,up>, |down,down>} reachable
     after the friend's measurement, and k_no = I - k_yes is the no vector's projector
     extended by the identity on the orthogonal complement, which annihilates nothing
-    reachable.  The pair is made unit first (``unit_pair``), so a pair unit to twelve
-    digits still gives a family complete to rounding.
+    reachable.  The pair is made unit first, as ``unit_pair`` makes it, so a pair unit
+    to twelve digits still gives a family complete to rounding.
     """
+    return _wigner_family(normalized([alpha, beta], "(alpha, beta)"))
+
+
+def _wigner_family(pair: np.ndarray) -> DetectorModel:
+    """Wigner's family for a pair of norm within TOL_EQUALITY of 1, divided here by that norm, as ``unit_pair`` does."""
     yes = np.zeros(_SF_LAYOUT.dim, dtype=np.complex128)
-    yes[_CORRELATED] = unit_pair(alpha, beta, "(alpha, beta)")
-    k_yes = np.outer(yes, yes.conj())
+    yes[_CORRELATED] = pair / math.hypot(*abs(pair))
+    k_yes = yes[:, None] * yes.conj()  # np.outer's products, without its wrapper
     k_no = np.eye(_SF_LAYOUT.dim) - k_yes
     k_yes.setflags(write=False)
     k_no.setflags(write=False)

@@ -697,6 +697,42 @@ def test_labels_at_the_edge_of_the_rule_round_trip(tmp_path, capsys):
     assert "spin meter=prêt à mesurer,N=r" in out and "spin meter=↓ down,N=down" in out
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}  # the locale's encoding is ASCII
+
+
+def run_cli(argv, **env):
+    """``qtimeline argv`` in a fresh interpreter with ``env`` added to its environment."""
+    return subprocess.run([sys.executable, "-m", "qtimeline.cli", *argv], capture_output=True,
+                          env={**child_env(), **env})
+
+
+@pytest.mark.parametrize("command", ["validate", "export", "simulate"])
+def test_a_file_that_is_not_utf8_is_one_validation_line(tmp_path, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"system": "\xff"}')
+    proc = run_cli([command, str(path)])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == (f"{path}: : not valid UTF-8: 'utf-8' codec can't decode byte 0xff in "
+                                    f"position 12: invalid start byte\n")
+
+
+def test_a_utf8_file_reads_and_writes_alike_under_an_ascii_locale(tmp_path):
+    data = json.loads(write_scenario(tmp_path, state=(0.6, 0.8)).read_text())
+    data["events"][0]["kraus"][0]["outcome"] = "größer"
+    path = tmp_path / "umlaut.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    runs = {}
+    for name, env in (("utf-8", {"PYTHONUTF8": "1"}), ("ascii", ASCII_LOCALE)):
+        csv_path = tmp_path / f"{name}.csv"
+        validate, export = run_cli(["validate", str(path)], **env), run_cli(["export", str(path)], **env)
+        simulate = run_cli(["simulate", str(path), "--csv", str(csv_path)], PYTHONIOENCODING="utf-8", **env)
+        for proc in (validate, export, simulate):
+            assert (proc.returncode, proc.stderr) == (0, b"")
+        runs[name] = (validate.stdout, export.stdout, simulate.stdout, csv_path.read_bytes())
+    assert runs["ascii"] == runs["utf-8"]
+    assert "M=größer,N=up" in runs["ascii"][3].decode("utf-8")
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 @pytest.mark.parametrize(
     "field, value, refused",

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtimeline.timeline
 from qtimeline.hilbert import (
     DomainError,
     LayoutError,
@@ -15,12 +17,20 @@ from qtimeline.hilbert import (
     propagator,
 )
 from qtimeline.instrument import DetectorModel, KrausSet, apply_instrument
-from qtimeline.sampling import random_complete_kraus, random_hermitian, random_state, random_wide_scenario
+from qtimeline.sampling import (
+    random_complete_kraus,
+    random_hermitian,
+    random_record_scenario,
+    random_scenario,
+    random_state,
+    random_wide_scenario,
+)
 from qtimeline.timeline import (
     MAX_DENSE_DIM,
     EventSchedule,
     HistoryState,
     ScheduleError,
+    _evolve,
     build_history,
     constraint_residual,
     history_layout,
@@ -129,6 +139,42 @@ def test_state_constant_within_segments_for_zero_hamiltonian():
         np.testing.assert_allclose(
             state_at(history, t1).amplitudes, state_at(history, t2).amplitudes, atol=1e-14
         )
+
+
+def spectral_evolve(h, state, t, t_from):
+    """The flow as the spectral formula gives it, for a zero generator too."""
+    w, v, v_dag, _ = h._spectrum
+    rows = state.amplitudes.reshape(h.layout.dim, -1)
+    return ((v * np.exp(w * (-1j * (t - t_from)))) @ v_dag @ rows).reshape(-1)
+
+
+@pytest.mark.parametrize("sampler", [random_scenario, random_record_scenario])
+def test_a_zero_generator_moves_no_amplitudes_and_agrees_with_the_spectral_formula(sampler, monkeypatch):
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        sample = sampler(rng)
+        h0 = Operator(sample.psi0.layout, np.zeros((sample.psi0.layout.dim,) * 2))
+        history = build_history(sample.psi0, sample.t0, h0, sample.schedule)
+        for k, anchor in enumerate(history.anchors):
+            t_k = history.anchor_time(k)
+            for t in (t_k, t_k + 0.25, t_k - 3.0, 1e300):
+                assert _evolve(h0, anchor, t, t_k) is anchor.amplitudes
+                assert np.array_equal(anchor.amplitudes, spectral_evolve(h0, anchor, t, t_k))
+        with monkeypatch.context() as patched:  # the same build with every flow a matrix product
+            patched.setattr(qtimeline.timeline, "_evolve", spectral_evolve)
+            reference = build_history(sample.psi0, sample.t0, h0, sample.schedule)
+        for anchor, expected in zip(history.anchors, reference.anchors, strict=True):
+            assert anchor.layout == expected.layout
+            assert np.array_equal(anchor.amplitudes, expected.amplitudes)
+
+
+@pytest.mark.parametrize("t, t_from, interval", [(math.inf, 0.0, "inf"), (1e308, -1e308, "inf"),
+                                                 (-math.inf, 1.0, "-inf"), (math.inf, math.inf, "nan")])
+def test_a_zero_generator_still_refuses_a_non_finite_interval(t, t_from, interval):
+    h0 = Operator(S, np.zeros((2, 2)))
+    message = f"propagator phase w*dt is not finite: interval {interval}, largest |w| 0.0"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _evolve(h0, basis_state(S, 0), t, t_from)
 
 
 def test_half_open_convention_at_event_time():

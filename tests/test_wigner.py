@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+import qtimeline.hilbert
 import qtimeline.probability
+import qtimeline.timeline
 import qtimeline.wigner
-from qtimeline.hilbert import DomainError, Operator, SubsystemLayout
+from qtimeline.hilbert import TOL_EQUALITY, DomainError, Operator, SubsystemLayout, normalized
 from qtimeline.instrument import validate
 from qtimeline.probability import ConditioningOnNullEvent, full_table
 from qtimeline.timeline import ScheduleError, state_at
@@ -17,6 +19,7 @@ from qtimeline.wigner import (
     build,
     friend_detector,
     tables,
+    unit_pair,
     wigner_detector,
 )
 
@@ -73,6 +76,52 @@ def test_shipped_detectors_are_complete():
     for _ in range(5):
         alpha, beta = random_unit_pair(rng)
         assert validate(wigner_detector(alpha, beta).kraus).max_deviation < 1e-12
+
+
+NEAR = 0.707106781187  # (NEAR, NEAR) has norm about 1 + 6.4e-13, inside StateVector.is_normalized
+
+
+def test_the_scenario_builds_the_family_wigner_detector_builds():
+    rng = np.random.default_rng(23)
+    pairs = [random_unit_pair(rng) for _ in range(20)] + [(NEAR, NEAR), (1.0, 0.0), (0.6, 0.8j)]
+    for alpha, beta in pairs:
+        built = WignerScenario(0.6, 0.8, alpha, beta).schedule.detector(WIGNER)
+        public = wigner_detector(alpha, beta)
+        assert built.kraus.outcome_labels == public.kraus.outcome_labels == ("yes", "no")
+        assert np.array_equal(built.kraus.matrices, public.kraus.matrices)
+
+
+def test_at_the_tolerance_edge_the_scenario_builds_the_family_wigner_detector_builds():
+    """Pairs within four ulp of norm 1 +/- TOL_EQUALITY: the families agree bit for bit where
+    ``normalized`` keeps the pair as given, and to rounding where it rescales it."""
+    rng = np.random.default_rng(37)
+    kept = rescaled = refused = 0
+    for alpha, beta in [random_unit_pair(rng) for _ in range(10)]:
+        for scale in (edge + k * 2.0**-52 for edge in (1 + TOL_EQUALITY, 1 - TOL_EQUALITY) for k in range(-4, 5)):
+            pair = (alpha * scale, beta * scale)
+            try:
+                built = WignerScenario(0.6, 0.8, *pair).schedule.detector(WIGNER).kraus.matrices
+            except DomainError:
+                refused += 1
+                continue
+            public = wigner_detector(*pair).kraus.matrices
+            if np.array_equal(normalized(pair), pair):
+                kept += 1
+                assert np.array_equal(built, public)
+            else:
+                rescaled += 1
+                assert np.abs(built - public).max() <= 4e-16
+    assert kept > 0 and refused > 0 and kept + rescaled + refused == 180
+
+
+def test_wigner_detector_is_the_unit_pairs_outer_product_and_its_complement():
+    rng = np.random.default_rng(29)
+    for alpha, beta in [random_unit_pair(rng) for _ in range(20)] + [(NEAR, NEAR), (3.0, 4.0j)]:
+        yes = np.zeros(6, dtype=complex)
+        yes[[1, 5]] = unit_pair(alpha, beta, "(alpha, beta)")
+        k_yes, k_no = wigner_detector(alpha, beta).kraus.matrices
+        assert np.array_equal(k_yes, np.outer(yes, yes.conj()))
+        assert np.array_equal(k_no, np.eye(6) - np.outer(yes, yes.conj()))
 
 
 def test_yes_effect_is_the_entangled_projector():
@@ -237,6 +286,14 @@ def test_building_the_history_checks_no_layout_again_and_enters_no_errstate(monk
     history = build(scenario)
     assert checks == [] and errstates == []
     assert history.layout == SubsystemLayout.of(("S", 2), (FRIEND, 3), (WIGNER, 3))
+    # A zero generator needs no propagator, and the pair the scenario judged needs no normalizing.
+    calls = []
+    for module, name in ((qtimeline.hilbert, "_unitary"), (qtimeline.timeline, "_unitary"),
+                         (qtimeline.hilbert, "normalized"), (qtimeline.wigner, "normalized")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    build(WignerScenario(0.6, 0.8, 0.6, 0.8))
+    assert calls == []
 
 
 @pytest.mark.parametrize(
