@@ -100,6 +100,11 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+def _is_unit(amplitudes: np.ndarray) -> bool:
+    """The one unit-norm rule: sqrt(<a|a>) within TOL_EQUALITY of 1; an overflowing or non-finite norm fails it."""
+    return abs(math.sqrt(np.vdot(amplitudes, amplitudes).real) - 1.0) <= TOL_EQUALITY
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude vector over a layout's row-major product basis."""
@@ -122,32 +127,32 @@ class StateVector:
         return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     @property
-    def is_normalized(self) -> bool:  # a norm that overflows is inf, which fails the check
-        return abs(self.norm - 1.0) <= TOL_EQUALITY
+    def is_normalized(self) -> bool:
+        return _is_unit(self.amplitudes)
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.dims)
 
 
 def normalized(amplitudes, what: str = "state vector") -> np.ndarray:
-    """``amplitudes`` divided by their norm, or as given when that norm is within TOL_EQUALITY of 1.
+    """``amplitudes`` as given when ``StateVector`` would call them normalized, else divided by their norm.
 
-    The norm is taken after an exact scaling by the power of two just above the
-    largest real or imaginary part, so no square overflows or underflows and a
-    normalized vector keeps its bits.  A non-finite entry, or a norm below
-    NEAR_ZERO_NORM, raises DomainError.
+    That norm is taken after an exact scaling by the power of two just above
+    the largest real or imaginary part, so no square overflows or underflows.
+    A non-finite entry, or a norm below NEAR_ZERO_NORM, raises DomainError.
     """
     amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+    if _is_unit(amps):
+        return amps
     parts = amps.view(np.float64)
     if not np.isfinite(parts).all():
         raise DomainError(f"{what} has a non-finite entry")
     exponent = math.frexp(np.abs(parts).max(initial=0.0))[1]
     scaled = np.ldexp(parts, -exponent).view(np.complex128)
     norm = float(np.linalg.norm(scaled))
-    size = math.ldexp(norm, min(exponent, 2))  # the norm itself wherever it is below 2
-    if size < NEAR_ZERO_NORM:
+    if math.ldexp(norm, min(exponent, 2)) < NEAR_ZERO_NORM:  # the norm itself wherever it is below 2
         raise DomainError(f"{what} has (near-)zero norm")
-    return amps if abs(size - 1.0) <= TOL_EQUALITY else scaled / norm
+    return scaled / norm
 
 
 @dataclass(frozen=True, eq=False)

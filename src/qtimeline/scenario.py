@@ -52,10 +52,10 @@ from .timeline import EventSchedule, history_layout, start_time
 
 
 class ScenarioError(ValueError):
-    """Scenario content is invalid; the message names the offending key."""
+    """Scenario content is invalid; the message names the offending key, if the error has one."""
 
     def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
+        super().__init__(f"{key}: {message}" if key else message)
         self.key = key
 
 

@@ -35,6 +35,7 @@ from .hilbert import (
     Operator,
     StateVector,
     SubsystemLayout,
+    TOL_EQUALITY,
     _unitary,
 )
 from .instrument import DetectorModel, apply_instrument
@@ -118,7 +119,10 @@ class HistoryState:
         if len(self.anchors) != len(self.schedule) + 1:
             raise DomainError("anchor count must be event count + 1")
         if not all(anchor.is_normalized for anchor in self.anchors):
-            raise DomainError("anchor states must be normalized")
+            k = next(k for k, anchor in enumerate(self.anchors) if not anchor.is_normalized)
+            after = f"after detector {self.schedule.detector_labels[k - 1]!r}" if k else "initial state"
+            raise DomainError(f"anchor states must be normalized: anchor {k} ({after}) has norm "
+                              f"{self.anchors[k].norm!r}, more than {TOL_EQUALITY:g} from 1")
         object.__setattr__(self, "_records", [None] * len(self.anchors))  # filled by ``records``
 
     def records(self, k: int) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:

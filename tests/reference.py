@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from qtimeline.hilbert import LayoutError, Operator, StateVector, SubsystemLayout
+from qtimeline.hilbert import TOL_EQUALITY, LayoutError, Operator, StateVector, SubsystemLayout
 
 
 def basis_state(layout: SubsystemLayout, index: int) -> StateVector:
@@ -57,3 +57,15 @@ def completeness_deviation(kraus) -> float:
     stacked = kraus.matrices.reshape(-1, dim)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(np.abs(stacked.conj().T @ stacked - np.eye(dim))))
+
+
+def edge_vectors(dim: int, count: int, seed: int):
+    """``count`` seeded complex vectors of length ``dim``, each at 18 norms: within four ulp of 1 +/- TOL_EQUALITY,
+    where two ways of rounding a norm can fall on the two sides of the unit-norm tolerance."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        z = z / np.linalg.norm(z)
+        for edge in (1 + TOL_EQUALITY, 1 - TOL_EQUALITY):
+            for k in range(-4, 5):
+                yield z * (edge + k * 2.0**-52)

@@ -18,7 +18,7 @@ import qtimeline
 from qtimeline.cli import _evaluate_query, main
 from qtimeline.probability import OutcomeQuery, joint
 from qtimeline.sampling import random_record_scenario, random_scenario, random_wide_scenario
-from qtimeline.scenario import parse_query_string
+from qtimeline.scenario import parse_query_string, parse_scenario
 from qtimeline.timeline import build_history
 
 
@@ -105,6 +105,34 @@ def test_simulate_output_matches_golden(tmp_path, capsys):
     assert main(["simulate", str(DATA / "two_factor_wigner.json"), "--csv", str(csv_path)]) == 0
     assert capsys.readouterr().out.encode() == (DATA / "two_factor_wigner.out").read_bytes()
     assert csv_path.read_bytes() == (DATA / "two_factor_wigner.csv").read_bytes()
+
+
+def test_the_unit_norm_edge_file_gets_one_verdict(capsys):
+    # Its state's norm is within TOL_EQUALITY of 1 by one rounding of it and not by another: validate,
+    # export and simulate must judge it by the one rule StateVector applies, and so agree.
+    path = str(DATA / "unit_norm_edge.json")
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr() == (f"{path}: ok (1 event, 1 query)\n", "")
+    assert main(["export", path]) == 0
+    exported, err = capsys.readouterr()
+    assert err == "" and parse_scenario(json.loads(exported)).psi0.is_normalized
+    assert main(["simulate", path]) == 0
+    assert capsys.readouterr() == ((DATA / "unit_norm_edge.out").read_text(), "")
+
+
+def test_a_detector_accepted_as_complete_can_still_leave_an_anchor_off_the_unit_norm(tmp_path, capsys):
+    data = json.loads(write_scenario(tmp_path).read_text())
+    s = math.sqrt(1 + 2e-11)  # completeness deviation 2e-11 passes the detector; norm 1 + 1e-11 fails the anchor
+    data["events"] = [{"time": 1.0, "detector": "D", "targets": ["S"],
+                       "kraus": [{"outcome": "seen", "matrix": [[pair(s), pair(0)], [pair(0), pair(s)]]}]}]
+    data["queries"] = []
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}: anchor states must be normalized: anchor 1 (after detector 'D') "
+                                       f"has norm 1.00000000001, more than 1e-12 from 1\n")
 
 
 def test_wigner_rejects_zero_amplitudes(capsys):
@@ -712,8 +740,32 @@ def test_a_file_that_is_not_utf8_is_one_validation_line(tmp_path, command):
     path.write_bytes(b'{"system": "\xff"}')
     proc = run_cli([command, str(path)])
     assert (proc.returncode, proc.stdout) == (2, b"")
-    assert proc.stderr.decode() == (f"{path}: : not valid UTF-8: 'utf-8' codec can't decode byte 0xff in "
+    assert proc.stderr.decode() == (f"{path}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff in "
                                     f"position 12: invalid start byte\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "export", "simulate"])
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        ("{not json", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[1]", "top level must be an object"),
+    ],
+    ids=["json", "top-level"],
+)
+def test_a_whole_file_error_prints_its_message_with_no_key(tmp_path, capsys, command, contents, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(contents)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}: {message}\n")
+
+
+def test_a_label_the_locale_cannot_encode_prints_escaped():
+    # No PYTHONIOENCODING: stdout is ASCII, and a row holding 'größer' prints with backslash escapes.
+    proc = run_cli(["simulate", str(DATA / "non_ascii_label.json")], **ASCII_LOCALE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (DATA / "non_ascii_label_ascii.out").read_bytes()
+    assert b"M=gr\\xf6\\xdfer,N=up" in proc.stdout
 
 
 def test_a_utf8_file_reads_and_writes_alike_under_an_ascii_locale(tmp_path):

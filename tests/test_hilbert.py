@@ -14,13 +14,14 @@ from qtimeline.hilbert import (
     SubsystemLayout,
     _contract,
     _unitary,
+    normalized,
     propagator,
 )
 from qtimeline.sampling import random_hermitian, random_wide_scenario
 from qtimeline.timeline import HistoryState, build_history
 
 from helpers import expm_series
-from reference import basis_state, embed, tensor
+from reference import basis_state, edge_vectors, embed, tensor
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -365,3 +366,15 @@ def test_a_history_with_a_non_normalized_anchor_is_refused_before_any_read():
     anchors = (*history.anchors[:-1], StateVector(last.layout, 1.001 * last.amplitudes))
     with pytest.raises(DomainError, match="normalized"):
         HistoryState(history.h_system, history.schedule, history.t0, anchors)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_normalized_keeps_a_vector_exactly_when_a_state_vector_calls_it_normalized(dim):
+    layout = SubsystemLayout.of(("S", dim))
+    kept = accepted = 0
+    for z in edge_vectors(dim, 60, dim):
+        is_kept = normalized(z) is z
+        assert is_kept == StateVector(layout, z).is_normalized
+        kept += is_kept
+        accepted += StateVector(layout, normalized(z)).is_normalized
+    assert 0 < kept < 1080 and accepted == 1080  # both sides of the edge are sampled; a rescaled vector is unit

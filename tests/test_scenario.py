@@ -15,7 +15,10 @@ from qtimeline.scenario import (
     parse_scenario,
     scenario_to_data,
 )
+from qtimeline.hilbert import StateVector, SubsystemLayout
 from qtimeline.timeline import build_history
+
+from reference import edge_vectors
 
 # The whole refusal text of DetectorModel's label rule after the label, as a regex.
 LABEL_RULE = r"must be non-empty printable text without leading or trailing whitespace or any of = , \| @$"
@@ -283,6 +286,21 @@ def test_json_form_errors_name_the_file_key(path, value, message):
     replace_at(data, path, value)
     with pytest.raises(ScenarioError, match=f"^{message}"):
         parse_scenario(data)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_export_keeps_the_bits_of_every_state_a_state_vector_accepts(dim):
+    layout = SubsystemLayout.of(("S", dim))
+    accepted = 0
+    for z in edge_vectors(dim, 60, 100 + dim):
+        if not StateVector(layout, z).is_normalized:
+            continue
+        accepted += 1
+        data = {"system": {"factors": [["S", dim]], "state": [pair(x) for x in z],
+                           "hamiltonian": [[pair(0)] * dim] * dim}, "events": []}
+        exported = json.loads(dump_scenario(parse_scenario(data)))
+        assert exported["system"]["state"] == data["system"]["state"]
+    assert 0 < accepted < 1080
 
 
 def test_parse_normalizes_state_whose_norm_overflows():

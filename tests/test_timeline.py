@@ -282,6 +282,29 @@ def test_history_refuses_an_anchor_that_is_not_normalized():
         HistoryState(*fields, anchors)
 
 
+@pytest.mark.parametrize("k, after", [(0, "initial state"), (1, "after detector 'F'"), (2, "after detector 'W'")])
+def test_the_refusal_names_the_first_anchor_off_the_unit_norm(k, after):
+    history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6))
+    anchors = list(history.anchors)
+    for j in range(k, len(anchors)):
+        anchors[j] = StateVector(anchors[j].layout, anchors[j].amplitudes * (1 + 1e-9))
+    with pytest.raises(DomainError) as refused:
+        HistoryState(history.h_system, history.schedule, history.t0, tuple(anchors))
+    assert str(refused.value) == (f"anchor states must be normalized: anchor {k} ({after}) has norm "
+                                  f"{anchors[k].norm!r}, more than 1e-12 from 1")
+
+
+def test_a_family_complete_to_its_tolerance_can_still_leave_an_anchor_off_the_unit_norm():
+    # sqrt(1 + 2e-11) I deviates from completeness by 2e-11 <= TOL_PREDICATE, so DetectorModel accepts it,
+    # but it scales the anchor after it to norm 1 + 1e-11, past TOL_EQUALITY: build_history names that anchor.
+    scaled = Operator(S, math.sqrt(1 + 2e-11) * np.eye(2))
+    schedule = EventSchedule(((1.0, DetectorModel("D", KrausSet((("seen", scaled),)))),))
+    with pytest.raises(DomainError) as refused:
+        build_history(StateVector(S, [1, 0]), 0.0, Operator(S, np.zeros((2, 2))), schedule)
+    assert str(refused.value) == ("anchor states must be normalized: anchor 1 (after detector 'D') has norm "
+                                  "1.00000000001, more than 1e-12 from 1")
+
+
 def test_history_refuses_an_anchor_count_other_than_events_plus_one():
     history = build_wigner(WignerScenario(a=0.6, b=0.8, alpha=0.8, beta=0.6))
     with pytest.raises(DomainError, match=r"anchor count must be event count \+ 1"):

@@ -92,10 +92,10 @@ def test_the_scenario_builds_the_family_wigner_detector_builds():
 
 
 def test_at_the_tolerance_edge_the_scenario_builds_the_family_wigner_detector_builds():
-    """Pairs within four ulp of norm 1 +/- TOL_EQUALITY: the families agree bit for bit where
-    ``normalized`` keeps the pair as given, and to rounding where it rescales it."""
+    """Pairs within four ulp of norm 1 +/- TOL_EQUALITY: for every pair the scenario accepts, ``normalized``
+    keeps the pair as given, so the two families agree bit for bit."""
     rng = np.random.default_rng(37)
-    kept = rescaled = refused = 0
+    accepted = refused = 0
     for alpha, beta in [random_unit_pair(rng) for _ in range(10)]:
         for scale in (edge + k * 2.0**-52 for edge in (1 + TOL_EQUALITY, 1 - TOL_EQUALITY) for k in range(-4, 5)):
             pair = (alpha * scale, beta * scale)
@@ -104,14 +104,10 @@ def test_at_the_tolerance_edge_the_scenario_builds_the_family_wigner_detector_bu
             except DomainError:
                 refused += 1
                 continue
-            public = wigner_detector(*pair).kraus.matrices
-            if np.array_equal(normalized(pair), pair):
-                kept += 1
-                assert np.array_equal(built, public)
-            else:
-                rescaled += 1
-                assert np.abs(built - public).max() <= 4e-16
-    assert kept > 0 and refused > 0 and kept + rescaled + refused == 180
+            accepted += 1
+            assert np.array_equal(normalized(pair), pair)
+            assert np.array_equal(built, wigner_detector(*pair).kraus.matrices)
+    assert accepted > 0 and refused > 0 and accepted + refused == 180
 
 
 def test_wigner_detector_is_the_unit_pairs_outer_product_and_its_complement():
