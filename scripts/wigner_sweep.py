@@ -15,6 +15,7 @@ either way one stderr line is printed and no CSV is written.
 
 import argparse
 import csv
+import io
 import sys
 
 import numpy as np
@@ -53,17 +54,20 @@ def main() -> int:
         print(f"invalid parameters: {err}", file=sys.stderr)
         return 2
 
-    try:
-        handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    if args.out == "-":
+        sys.stdout.write(buffer.getvalue())
+        return 0
+    try:  # open, write and close: a full device fails only on the last
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(buffer.getvalue())
     except OSError as err:
         print(f"{args.out}: {err}", file=sys.stderr)
         return 2
-    writer = csv.writer(handle)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if handle is not sys.stdout:
-        handle.close()
-        print(f"wrote {args.steps} rows to {args.out}")
+    print(f"wrote {args.steps} rows to {args.out}")
     return 0
 
 

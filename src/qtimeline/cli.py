@@ -81,10 +81,14 @@ def _write_output(path: str, text: str) -> bool:
     return True
 
 
-def _print_rows(rows: list[ResultRow]) -> None:
-    width = max(len(r.assignment) for r in rows)
-    for row in rows:
-        print(f"  {row.kind:<12} t={row.t:<8g} {row.assignment:<{width}}  {_fmt(row.value, PRETTY_DIGITS)}")
+def _print_rows(rows: list[ResultRow], total: bool = False) -> None:
+    encoding = sys.stdout.encoding or "utf-8"  # pad each label by its width as stdout prints it, escapes included
+    labels = [row.assignment.encode(encoding, "backslashreplace").decode(encoding) for row in rows]
+    width = max(map(len, labels))
+    for row, label in zip(rows, labels):
+        print(f"  {row.kind:<12} t={row.t:<8g} {label:<{width}}  {_fmt(row.value, PRETTY_DIGITS)}")
+    if total:
+        print(f"  {'total':<12} {'':<10} {'':<{width}}  {_fmt(sum(r.value for r in rows), PRETTY_DIGITS)}")
 
 
 def _cmd_simulate(args) -> int:
@@ -114,13 +118,10 @@ def _cmd_simulate(args) -> int:
             print(f"query {index}: {message}", file=sys.stderr)
             failed = True
             continue
-        if query.given is None and not query.assignments:
+        full = query.given is None and not query.assignments
+        if full:
             print(f"full table at t={query.t:g}")
-            _print_rows(rows)
-            print(f"  {'total':<12} {'':<10} {'':<{max(len(r.assignment) for r in rows)}}  "
-                  f"{_fmt(sum(r.value for r in rows), PRETTY_DIGITS)}")
-        else:
-            _print_rows(rows)
+        _print_rows(rows, total=full)
         all_rows.extend(rows)
 
     if args.csv and not _write_output(args.csv, _csv_text(all_rows)):

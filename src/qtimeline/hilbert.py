@@ -155,6 +155,13 @@ def normalized(amplitudes, what: str = "state vector") -> np.ndarray:
     return scaled / norm
 
 
+def unit_vector(amplitudes: np.ndarray, what: str) -> np.ndarray:
+    """``amplitudes`` over ``math.hypot`` of their moduli, unit to rounding; DomainError unless ``_is_unit`` holds."""
+    if not _is_unit(amplitudes):
+        raise DomainError(f"{what} is not a unit vector: its norm is not within {TOL_EQUALITY:g} of 1")
+    return amplitudes / math.hypot(*abs(amplitudes).tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Square complex matrix acting on a layout's product basis."""

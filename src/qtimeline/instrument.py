@@ -24,6 +24,7 @@ from .hilbert import (
     StateVector,
     SubsystemLayout,
     _contract,
+    unit_vector,
 )
 
 
@@ -138,6 +139,16 @@ class DetectorModel:
     def record_state(self, label: str) -> StateVector:
         """Ancilla basis vector for an outcome label or the ready label."""
         return StateVector(self.ancilla_layout, np.eye(self.ancilla_dim)[self.record_index(label)])
+
+
+def state_test(name: str, layout: SubsystemLayout, phi) -> DetectorModel:
+    """The yes/no test "is the lab in state phi?" on ``layout``: K_yes = |phi><phi| and K_no = I - K_yes."""
+    yes = unit_vector(StateVector(layout, phi).amplitudes, f"phi of state test {name!r}")
+    k_yes = yes[:, None] * yes.conj()  # np.outer's products, without its wrapper
+    k_no = np.eye(layout.dim) - k_yes
+    k_yes.setflags(write=False)
+    k_no.setflags(write=False)
+    return DetectorModel(name, KrausSet((("yes", Operator(layout, k_yes)), ("no", Operator(layout, k_no)))))
 
 
 def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:

@@ -1,22 +1,21 @@
 """Preconfigured Wigner's-friend scenario.
 
-A friend F measures a qubit S projectively; Wigner W later measures the joint
-S (x) F in an entangled yes/no basis, so the friend's record is itself a
-quantum degree of freedom for Wigner.  The scenario is parameterized by the
-system amplitudes (a, b), Wigner's yes-state amplitudes (alpha, beta), and the
-two event times.  Its five tables are one labelled weight array, the full
+A friend F measures a qubit S in state a|up> + b|down> projectively; Wigner W
+later asks whether S (x) F is in alpha|up,up> + beta|down,down>, a yes/no
+``instrument.state_test``, so the friend's record is itself a quantum degree
+of freedom for Wigner.  The scenario is parameterized by these amplitudes and
+the two event times.  Its five tables are one labelled weight array, the full
 table over (F, W), with its two axis sums and two broadcast quotients.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, normalized
-from .instrument import DetectorModel, KrausSet
+from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, normalized, unit_vector
+from .instrument import DetectorModel, KrausSet, state_test
 from .probability import ProbabilityTable, _nonnull, full_table
 from .timeline import EventSchedule, HistoryState, build_history
 
@@ -24,7 +23,6 @@ SYSTEM = "S"
 FRIEND = "F"
 WIGNER = "W"
 UP, DOWN = "up", "down"
-YES, NO = "yes", "no"
 
 _SYSTEM_LAYOUT = SubsystemLayout.of((SYSTEM, 2))
 
@@ -47,11 +45,9 @@ class WignerScenario:
 
     def __post_init__(self) -> None:
         psi0 = StateVector(_SYSTEM_LAYOUT, [self.a, self.b])
-        yes = StateVector(_SYSTEM_LAYOUT, [self.alpha, self.beta])
-        for name, pair in (("(a, b)", psi0), ("(alpha, beta)", yes)):
-            if not pair.is_normalized:
-                raise DomainError(f"amplitudes {name} must satisfy |x|^2 + |y|^2 = 1")
-        events = ((self.t_m, _FRIEND_DETECTOR), (self.t_n, _wigner_family(yes.amplitudes)))  # the pair just judged
+        if not psi0.is_normalized:
+            raise DomainError("amplitudes (a, b) must satisfy |x|^2 + |y|^2 = 1")
+        events = ((self.t_m, _FRIEND_DETECTOR), (self.t_n, _wigner_family([self.alpha, self.beta])))
         object.__setattr__(self, "psi0", psi0)
         object.__setattr__(self, "schedule", EventSchedule(events))
 
@@ -71,9 +67,8 @@ _CORRELATED = [s * _FRIEND_DETECTOR.ancilla_dim + _FRIEND_DETECTOR.record_index(
 
 
 def unit_pair(x: complex, y: complex, name: str) -> np.ndarray:
-    """``(x, y)`` as ``normalized`` admits it, then always divided by its norm, so a near-unit pair is unit too."""
-    pair = normalized([x, y], name)
-    return pair / math.hypot(*abs(pair))
+    """``(x, y)`` as ``normalized`` admits it, then always divided by its norm, as ``state_test`` divides its phi."""
+    return unit_vector(normalized([x, y], name), name)
 
 
 def wigner_detector(alpha: complex, beta: complex) -> DetectorModel:
@@ -89,14 +84,10 @@ def wigner_detector(alpha: complex, beta: complex) -> DetectorModel:
 
 
 def _wigner_family(pair: np.ndarray) -> DetectorModel:
-    """Wigner's family for a pair of norm within TOL_EQUALITY of 1, divided here by that norm, as ``unit_pair`` does."""
+    """Wigner's family: ``state_test``'s phi is ``pair`` at |up,up> and |down,down>, and zero elsewhere."""
     yes = np.zeros(_SF_LAYOUT.dim, dtype=np.complex128)
-    yes[_CORRELATED] = pair / math.hypot(*abs(pair))
-    k_yes = yes[:, None] * yes.conj()  # np.outer's products, without its wrapper
-    k_no = np.eye(_SF_LAYOUT.dim) - k_yes
-    k_yes.setflags(write=False)
-    k_no.setflags(write=False)
-    return DetectorModel(WIGNER, KrausSet(((YES, Operator(_SF_LAYOUT, k_yes)), (NO, Operator(_SF_LAYOUT, k_no)))))
+    yes[_CORRELATED] = pair
+    return state_test(WIGNER, _SF_LAYOUT, yes)
 
 
 def build(scenario: WignerScenario) -> HistoryState:

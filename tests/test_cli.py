@@ -476,6 +476,9 @@ def test_experiment_scripts_run(tmp_path):
         return proc.returncode, proc.stderr
 
     assert sweep_fails("--a", "nan") == (2, "invalid parameters: (a, b) has a non-finite entry\n")
+    if Path("/dev/full").exists():  # opens, then fails on the write or the close
+        code, message = sweep_fails("--out", "/dev/full")
+        assert code == 2 and message.startswith("/dev/full: "), message
     code, message = sweep_fails("--a", "1", "--b", "0")  # W=no is null at theta = 0
     assert code == 1 and message.startswith("conditional tables undefined at theta=0.000000: ")
 
@@ -766,6 +769,9 @@ def test_a_label_the_locale_cannot_encode_prints_escaped():
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (DATA / "non_ascii_label_ascii.out").read_bytes()
     assert b"M=gr\\xf6\\xdfer,N=up" in proc.stdout
+    # The table's rows and its total line pad each label by its printed width, so their values line up.
+    table = proc.stdout.decode("ascii").splitlines()[1:6]
+    assert len({line.rindex(" ") for line in table}) == 1, table
 
 
 def test_a_utf8_file_reads_and_writes_alike_under_an_ascii_locale(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtimeline.hilbert import LayoutError, Operator, StateVector, SubsystemLayout
+from qtimeline.hilbert import DomainError, LayoutError, Operator, StateVector, SubsystemLayout, _is_unit
 from qtimeline.instrument import (
     DetectorModel,
     KrausSet,
     ValidationError,
     apply_instrument,
+    state_test,
     validate,
 )
 from qtimeline.sampling import random_complete_kraus, random_state
 
-from reference import basis_state, completeness_deviation, embed, tensor
+from reference import basis_state, completeness_deviation, edge_vectors, embed, tensor
 
 S = SubsystemLayout.of(("S", 2))
 
@@ -139,6 +141,13 @@ def test_detector_refuses_a_name_or_label_a_query_cannot_carry(name, outcome, re
     with pytest.raises(ValidationError) as err:
         DetectorModel(name, kraus, ready_label=ready_label)
     assert err.value.args[0] == f"{refused} {LABEL_RULE}"
+
+
+@pytest.mark.parametrize("name", ["A=B,C", "", "M|N", " W", "W@t", 7])
+def test_a_state_test_refuses_a_name_a_query_cannot_carry(name):
+    with pytest.raises(ValidationError) as err:
+        state_test(name, S, [1, 0])
+    assert err.value.args[0] == f"detector name {name!r} {LABEL_RULE}"
 
 
 @pytest.mark.parametrize("label", ["spin up", "größer", "↑", "r 2", "Ω-1", "a.b:c;d"])
@@ -315,3 +324,51 @@ def test_instrument_preserves_norm_and_matches_effects(seed, n_outcomes):
         via_effect = np.vdot(psi.amplitudes, effect(kraus, label) @ psi.amplitudes).real
         assert abs(weight - via_effect) < 1e-12
 
+
+
+SF = SubsystemLayout.of(("S", 2), ("F", 3))
+
+
+@pytest.mark.parametrize("layout", [S, SubsystemLayout.of(("S", 3)), SF], ids=["qubit", "qutrit", "S-F"])
+def test_a_state_test_is_the_projector_on_its_unit_state_and_the_complement(layout):
+    rng = np.random.default_rng(layout.dim)
+    for _ in range(10):
+        z = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        phi = z / np.linalg.norm(z)
+        det = state_test("T", layout, phi)
+        assert det.detector_label == "T" and det.kraus.outcome_labels == ("yes", "no")
+        assert det.kraus.target_layout == layout
+        unit = phi / math.hypot(*abs(phi))  # the one unit rule, written out here
+        k_yes, k_no = det.kraus.matrices
+        assert np.array_equal(k_yes, np.outer(unit, unit.conj()))
+        assert np.array_equal(k_no, np.eye(layout.dim) - np.outer(unit, unit.conj()))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_a_state_test_is_complete_to_rounding_for_every_phi_the_unit_rule_accepts(dim):
+    layout = SubsystemLayout.of(("L", dim))
+    accepted = refused = 0
+    for phi in edge_vectors(dim, 20, seed=dim):  # within four ulp of norm 1 +/- 1e-12
+        if _is_unit(phi):
+            accepted += 1
+            assert validate(state_test("T", layout, phi).kraus).max_deviation < 1e-12
+        else:
+            refused += 1
+            with pytest.raises(DomainError, match="^phi of state test 'T' is not a unit vector"):
+                state_test("T", layout, phi)
+    assert accepted > 0 and refused > 0
+
+
+@pytest.mark.parametrize("phi", [[0, 0], [np.nan, 0], [np.inf, 0], [1e200, 1e200], [0.5, 0.5]],
+                         ids=["zero", "nan", "inf", "overflow", "half"])
+def test_a_state_test_refuses_a_phi_off_the_unit_norm_without_a_warning(phi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            state_test("W", S, phi)
+    assert err.value.args[0] == "phi of state test 'W' is not a unit vector: its norm is not within 1e-12 of 1"
+
+
+def test_a_state_test_refuses_a_phi_of_another_length():
+    with pytest.raises(LayoutError, match="^amplitude length 2 does not match layout dimension 6$"):
+        state_test("W", SF, [1, 0])

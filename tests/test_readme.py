@@ -46,7 +46,8 @@ def test_readme_states_values_to_check():
 
 
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
-def test_readme_python_block_prints_its_commented_values(index):
+def test_readme_python_block_prints_its_commented_values(index, monkeypatch):
+    monkeypatch.chdir(README.parent)  # a block reads repository paths, such as examples/, as a reader runs it
     code = BLOCKS[index]
     printed = []
     exec(compile(code, f"README.md python block {index}", "exec"), {"print": lambda *args: printed.append(args)})

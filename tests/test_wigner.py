@@ -43,6 +43,14 @@ def test_scenario_validates_normalization_and_ordering():
         WignerScenario(a=1.0, b=0.0, alpha=1.0, beta=0.0, t_m=2.0, t_n=1.0)
 
 
+def test_each_pair_is_refused_by_its_one_unit_rule():
+    # (a, b) is the initial state's; (alpha, beta) is the phi of Wigner's state test, judged there once.
+    with pytest.raises(DomainError, match=re.escape("amplitudes (a, b) must satisfy |x|^2 + |y|^2 = 1")):
+        WignerScenario(a=0.5, b=0.5, alpha=1.0, beta=0.0)
+    with pytest.raises(DomainError, match="^phi of state test 'W' is not a unit vector: its norm is not within 1e-12"):
+        WignerScenario(a=1.0, b=0.0, alpha=0.5, beta=0.5)
+
+
 @pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)])
 @pytest.mark.parametrize("pair", ["a", "alpha"])
 def test_an_overflowing_pair_is_a_domain_error(huge, pair):
