@@ -25,6 +25,7 @@ from qtimeline.sampling import random_record_scenario, random_scenario, random_w
 from qtimeline.timeline import EventSchedule, build_history
 
 SAMPLERS = (random_scenario, random_wide_scenario, random_record_scenario)
+TOLERANCE = 1e-10  # largest deviation allowed between the two routes
 
 
 def oracle_joints(sample, k: int) -> dict[tuple[str, ...], float]:
@@ -57,7 +58,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200, help="scenarios per sampler")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance", type=float, default=1e-10)
     args = parser.parse_args()
 
     failed = False
@@ -92,12 +92,12 @@ def main() -> int:
         if stray:
             print(f"  FAIL: table rows the oracle does not list, first {stray[0]}")
             failed = True
-        if worst > args.tolerance:
-            print(f"  FAIL: exceeds tolerance {args.tolerance:g}")
+        if worst > TOLERANCE:
+            print(f"  FAIL: exceeds tolerance {TOLERANCE:g}")
             failed = True
     if failed:
         return 1
-    print(f"OK: within tolerance {args.tolerance:g} on every sampler")
+    print(f"OK: within tolerance {TOLERANCE:g} on every sampler")
     return 0
 
 

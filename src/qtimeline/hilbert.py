@@ -162,6 +162,14 @@ def unit_vector(amplitudes: np.ndarray, what: str) -> np.ndarray:
     return amplitudes / math.hypot(*abs(amplitudes).tolist())
 
 
+def _isometry_deviation(matrix: np.ndarray) -> float:
+    """The largest entry of |F^dag F - I| for a (rows, d) matrix F; entries near the float limit give inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = matrix.conj().T @ matrix
+        total.reshape(-1)[:: matrix.shape[1] + 1] -= 1  # a strided view of the diagonal
+        return float(abs(total).max())
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Square complex matrix acting on a layout's product basis."""
@@ -190,8 +198,7 @@ class Operator:
         return w, v, v.conj().T, float(abs(w).max())
 
     def is_unitary(self, tol: float = TOL_PREDICATE) -> bool:
-        product = self.matrix.conj().T @ self.matrix
-        return bool(np.max(np.abs(product - np.eye(self.layout.dim))) <= tol)
+        return _isometry_deviation(self.matrix) <= tol
 
     def apply(self, state: StateVector) -> StateVector:
         if state.layout != self.layout:

@@ -24,6 +24,7 @@ from .hilbert import (
     StateVector,
     SubsystemLayout,
     _contract,
+    _isometry_deviation,
     unit_vector,
 )
 
@@ -77,13 +78,7 @@ class KrausSet:
 
 def validate(kraus: KrausSet) -> ValidationReport:
     """Check completeness sum(K^dag K) = I; reports the max-norm deviation."""
-    dim = kraus.target_layout.dim
-    stacked = kraus.matrices.reshape(-1, dim)
-    # Entries near the float limit overflow to inf or nan, which fail the check.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = stacked.conj().T @ stacked
-        total.reshape(-1)[:: dim + 1] -= 1  # a strided view of the diagonal
-        deviation = float(abs(total).max())
+    deviation = _isometry_deviation(kraus.matrices.reshape(-1, kraus.target_layout.dim))  # inf or nan fails
     return ValidationReport(deviation <= TOL_PREDICATE, deviation)
 
 

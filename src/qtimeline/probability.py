@@ -3,12 +3,12 @@
 Every probability here is "at clock reading t".  The Hamiltonian acts on the
 system factors only, so the weight of a detector-record configuration is the
 same anywhere in a segment: the segment anchor's |amplitude|^2 summed over the
-system axes.  That record-weight array is the single primitive; the history
-forms it once per anchor, on first read, with one axis per scheduled detector
-and the labels along each axis (``HistoryState.records``).  A full table is that
-array with its labels, held without a copy; a joint probability reads one
-entry, a marginal sums over the unnamed detectors, and a conditional is the
-Bayes quotient of two such sums.  Records are read by label alone, through one
+system axes.  That labelled record-weight array is the single primitive: the
+history forms it once per anchor, on first read, as a ``ProbabilityTable`` with
+one axis per scheduled detector, and checks it then (``HistoryState.records``).
+A full table is that very table; a joint probability reads one entry, a
+marginal sums over the unnamed detectors, and a conditional is the Bayes
+quotient of two such sums.  Records are read by label alone, through one
 label-to-index step; a label an axis does not list (an outcome of a detector
 that has not fired, say) weighs 0.  Absolute probabilities marginalized over
 the clock are deliberately not offered."""
@@ -18,13 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .hilbert import DomainError, _frozen
-from .timeline import HistoryState
+
+if TYPE_CHECKING:
+    from .timeline import HistoryState
 
 # Below this weight an event is treated as null and conditioning on it fails
 # loudly instead of dividing.
@@ -64,7 +65,7 @@ class ProbabilityTable:
     weights) is held as given; a writable one is copied once and frozen.
     ``given`` names the detectors conditioned on rather than jointly measured;
     when it is empty the weights of a full table sum to one.  ``rows`` pairs
-    each ``itertools.product(*labels)`` key with its weight, derived on first use.
+    each ``itertools.product(*labels)`` key with its weight, built per read: a history keeps its tables.
     """
 
     detectors: tuple[str, ...]
@@ -98,7 +99,7 @@ class ProbabilityTable:
     def total(self) -> float:
         return float(self.weights.sum())
 
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple[tuple[str, ...], float], ...]:
         return tuple(zip(itertools.product(*self.labels), self.weights.ravel().tolist()))
 
@@ -117,9 +118,9 @@ def _index(labels: tuple[tuple[str, ...], ...], key) -> tuple | None:
 def _weight(history: HistoryState, k: int, assignments: Mapping[str, str]) -> float:
     """Weight of the records of anchor ``k`` that match ``assignments``; unnamed detectors are summed."""
     history.schedule.check(assignments)
-    labels, weights = history.records(k)
-    index = _index(labels, map(assignments.get, history.schedule.detector_labels))
-    return 0.0 if index is None else float(weights[index].sum())
+    records = history.records(k)
+    index = _index(records.labels, map(assignments.get, records.detectors))
+    return 0.0 if index is None else float(records.weights[index].sum())
 
 
 def _nonnull(weight: float, given: Mapping[str, str], t: float) -> float:
@@ -168,7 +169,7 @@ def conditional(
 
 def outcome_labels_at(history: HistoryState, t: float) -> dict[str, tuple[str, ...]]:
     """Labels each detector can show at time t: those its full-table rows range over."""
-    return dict(zip(history.schedule.detector_labels, history.records(history.segment_at(t))[0]))
+    return dict(zip(history.schedule.detector_labels, full_table(history, t).labels))
 
 
 def full_table(history: HistoryState, t: float) -> ProbabilityTable:
@@ -176,7 +177,6 @@ def full_table(history: HistoryState, t: float) -> ProbabilityTable:
 
     A detector shows its ready label until it fires and its outcomes after, plus
     its ready label while a later Kraus on its record leaves weight in that slot.
-    So the rows always sum to one.
+    So the rows always sum to one.  It is the segment's own table, the same object on every call.
     """
-    labels, weights = history.records(history.segment_at(t))  # the anchor's own arrays, no copy
-    return ProbabilityTable(history.schedule.detector_labels, labels, weights)
+    return history.records(history.segment_at(t))

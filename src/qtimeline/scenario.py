@@ -260,20 +260,16 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(data)
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _matrix_pairs(matrix: np.ndarray) -> list:
-    return [[_pair(entry) for entry in row] for row in np.asarray(matrix)]
+def _pairs(array: np.ndarray) -> list:
+    return np.stack((array.real, array.imag), axis=-1).tolist()
 
 
 def scenario_to_data(scenario: Scenario) -> dict:
     """Canonical JSON-ready form; parses back to a bit-identical model."""
     system = {
         "factors": [[label, dim] for label, dim in scenario.psi0.layout.factors],
-        "state": [_pair(z) for z in scenario.psi0.amplitudes],
-        "hamiltonian": _matrix_pairs(scenario.h_system.matrix),
+        "state": _pairs(scenario.psi0.amplitudes),
+        "hamiltonian": _pairs(scenario.h_system.matrix),
         "t0": scenario.t0,
     }
     events = []
@@ -284,7 +280,7 @@ def scenario_to_data(scenario: Scenario) -> dict:
                 "detector": det.detector_label,
                 "targets": list(det.kraus.target_labels),
                 "kraus": [
-                    {"outcome": label, "matrix": _matrix_pairs(op.matrix)}
+                    {"outcome": label, "matrix": _pairs(op.matrix)}
                     for label, op in det.kraus.outcomes
                 ],
                 "ready_label": det.ready_label,

@@ -15,9 +15,9 @@ it, in schedule order: its outcome slots 1..n, or its whole ancilla from the
 first event whose Kraus acts on the record.  A detector that has not fired has
 no axis; its record is ready.  ``HistoryState.layout`` is the full layout,
 system then every whole ancilla, and ``state_at`` zero-pads an anchor to it.
-The record weights every probability reads are formed per anchor on its first
-read and keyed by label (``HistoryState.records``), so no reader needs the
-storage convention.
+Each segment's record weights, the one probability primitive, are formed per
+anchor on its first read as a labelled ``ProbabilityTable``
+(``HistoryState.records``), so no reader needs the storage convention.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .hilbert import (
     _unitary,
 )
 from .instrument import DetectorModel, apply_instrument
+from .probability import ProbabilityTable
 
 # Largest array a history allocates: 2**24 complex128 amplitudes are 256 MiB.
 # history_layout bounds the last anchor, which no earlier anchor and no
@@ -125,8 +126,8 @@ class HistoryState:
                               f"{self.anchors[k].norm!r}, more than {TOL_EQUALITY:g} from 1")
         object.__setattr__(self, "_records", [None] * len(self.anchors))  # filled by ``records``
 
-    def records(self, k: int) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
-        """``(labels, weights)`` of segment ``k``, formed on first read and cached in a list that holds no
+    def records(self, k: int) -> ProbabilityTable:
+        """The full table of segment ``k``, formed and checked on first read and cached in a list that holds no
         reference back to the history.  ``weights``: the read-only |amplitude|^2 of ``anchors[k]`` summed over
         the system axes, one axis per scheduled detector; ``labels``: per axis, the ready label before it fires,
         its outcomes in Kraus order after, then the ready label while a later Kraus leaves weight there."""
@@ -147,7 +148,8 @@ class HistoryState:
             shown.append(outcomes)
         w = w.reshape(w.shape + (1,) * (len(detectors) - k))
         w.setflags(write=False)
-        self._records[k] = ((*shown, *((det.ready_label,) for det in detectors[k:])), w)
+        labels = (*shown, *((det.ready_label,) for det in detectors[k:]))
+        self._records[k] = ProbabilityTable(self.schedule.detector_labels, labels, w)
         return self._records[k]
 
     @cached_property

@@ -17,11 +17,12 @@ from qtimeline.hilbert import (
     normalized,
     propagator,
 )
+from qtimeline.instrument import KrausSet
 from qtimeline.sampling import random_hermitian, random_wide_scenario
 from qtimeline.timeline import HistoryState, build_history
 
 from helpers import expm_series
-from reference import basis_state, edge_vectors, embed, tensor
+from reference import basis_state, completeness_deviation, edge_vectors, embed, tensor
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -323,6 +324,18 @@ def test_operator_predicates():
     assert Operator(qubit(), SIGMA_X).is_hermitian()
     assert Operator(qubit(), SIGMA_X).is_unitary()
     assert not Operator(qubit(), [[0, 1], [0, 0]]).is_hermitian()
+
+
+def test_is_unitary_is_the_completeness_rule_and_fails_near_the_float_limit_without_a_warning():
+    # Warnings are errors here, so an overflowing U^dag U - I would fail as a RuntimeWarning, not return False.
+    for entry in (1e308, -1e200, math.inf, math.nan):
+        assert not Operator(qubit(), [[entry, 0], [0, entry]]).is_unitary()
+    rng = np.random.default_rng(5)
+    for scale in (0.0, 1e-12, 1e-10, 1e-8):
+        u = propagator(random_hermitian(rng, qubit()), 1.0, 0.0)
+        op = Operator(qubit(), u.matrix + scale * rng.normal(size=(2, 2)))
+        for tol in (1e-12, 1e-10, 1e-8):
+            assert op.is_unitary(tol) == (completeness_deviation(KrausSet((("u", op),))) <= tol)
 
 
 

@@ -435,13 +435,29 @@ def test_twenty_detector_full_table_is_a_view_with_a_small_peak(twenty_detectors
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_full_table_is_the_segment_records_formed_once():
+    for draw in (random_scenario, random_wide_scenario):
+        for seed in range(6):
+            sample = draw(np.random.default_rng([seed, 22]))
+            history = build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+            times = (sample.t0, *sample.schedule.times)
+            for k, start in enumerate(times):
+                end = times[k + 1] if k + 1 < len(times) else start + 1.0
+                for t in (start, (start + end) / 2, end if k + 1 == len(times) else math.nextafter(end, start)):
+                    table = full_table(history, t)
+                    assert table is history.records(history.segment_at(t)) is history.records(k)
+                    assert outcome_labels_at(history, t) == dict(zip(table.detectors, table.labels))
+            assert full_table(history, -math.inf) is history.records(0)
+            assert full_table(history, math.inf) is history.records(len(times) - 1)
+
+
 def test_full_table_holds_the_anchor_weights_read_only(twenty_detectors):
     history = twenty_detectors
     for t in (0.5, 10.5, 25.0):
         table = full_table(history, t)
-        labels, weights = history.records(history.segment_at(t))
-        assert np.shares_memory(table.weights, weights)
-        assert table.labels == labels
+        records = history.records(history.segment_at(t))
+        assert table is records
+        assert table.weights is records.weights and table.labels is records.labels
         assert not table.weights.flags.writeable
 
 

@@ -276,10 +276,11 @@ def test_parse_rejects_malformed_numbers(path, value, key):
         (("events", 0, "detector"), 5, r"events\[0\]\.detector: expected a string$"),
         (("events", 0, "kraus", 1, "outcome"), None, r"events\[0\]\.kraus\[1\]\.outcome: expected a string$"),
         (("events", 0, "ready_label"), ["r"], r"events\[0\]\.ready_label: expected a string$"),
+        (("events",), {}, r"events: expected a list"),
     ],
     ids=["time-beyond-float-range", "ragged-rows", "queries-object", "empty-detector", "empty-kraus",
          "empty-ready-label", "non-string-given-label", "empty-assignment", "non-string-detector",
-         "non-string-outcome", "non-string-ready-label"],
+         "non-string-outcome", "non-string-ready-label", "events-object"],
 )
 def test_json_form_errors_name_the_file_key(path, value, message):
     data = qubit_scenario()

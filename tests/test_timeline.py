@@ -246,8 +246,9 @@ def test_record_weights_are_the_anchor_weights_summed_over_the_system():
         system = sample.h_system.layout
         detectors = [det for _, det in sample.schedule.events]
         for k in range(len(history.anchors)):
-            labels, weights = history.records(k)
-            assert history.records(k)[1] is weights  # formed once, on first read
+            table = history.records(k)
+            assert history.records(k) is table  # formed once, on first read
+            labels, weights = table.labels, table.weights
             stored = (np.abs(history.anchors[k].as_tensor()) ** 2).sum(axis=tuple(range(len(system.factors))))
             # The stored records written into whole ancillas by record_index, unfired ones ready.
             index = []
