@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Run one fixed command corpus under a git revision and under the working tree; print what differs.
+
+    python scripts/compare_outputs.py REV
+
+REV's ``src/`` is exported with ``git archive`` into a temporary directory, so the
+repository's own ``.git`` is left as it was.  The inputs come from the working tree
+(``tests/data/*.json``, ``examples/*.json`` and two files written here: a query-shape
+variant of ``two_factor_wigner.json`` and a 12-detector qubit chain), so both sides read
+the same files.  Each command runs as ``python -m qtimeline.cli`` in a fresh directory per
+side, and its stdout, stderr, exit code and every file it writes there are compared.  Each
+command that differs is printed with the parts that differ; the exit code is 1 if any
+differs, else 0.
+"""
+
+import argparse
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}  # stdout cannot encode a non-ASCII label
+TWO = "tests/data/two_factor_wigner.json"
+PAIRS = (  # (a, b, alpha, beta): the default pair, a complex one, and a basis pair whose conditionals are undefined
+    ("0.7071067811865476", "0.7071067811865476", "1", "0"),
+    ("0.6", "0,0.8", "0.8", "0,0.6"),
+    ("1", "0", "0.8", "0.6"),
+)
+
+
+def _pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def qubit_chain(n: int) -> dict:
+    """A qubit S in (0.6, 0.8) under H = X, measured in its basis at t = 1 .. n by detectors D1 .. Dn."""
+    def matrix(rows):
+        return [[_pair(complex(v)) for v in row] for row in rows]
+
+    kraus = [{"outcome": "up", "matrix": matrix([[1, 0], [0, 0]])},
+             {"outcome": "down", "matrix": matrix([[0, 0], [0, 1]])}]
+    return {
+        "system": {"factors": [["S", 2]], "state": [_pair(0.6), _pair(0.8)],
+                   "hamiltonian": matrix([[0, 1], [1, 0]]), "t0": 0.0},
+        "events": [{"time": float(k), "detector": f"D{k}", "targets": ["S"], "kraus": kraus} for k in range(1, n + 1)],
+        "queries": [{"t": n + 1.0, "full_table": True}],
+    }
+
+
+def query_shapes() -> dict:
+    """``two_factor_wigner.json`` with file-only query shapes: an empty given, an empty target, both empty."""
+    data = json.loads((ROOT / TWO).read_text(encoding="utf-8"))
+    data["queries"] = [
+        {"t": 2.5, "target": {"D1": "o0"}, "given": {}},
+        {"t": 2.5, "target": {}, "given": {"D1": "o0"}},
+        {"t": 2.5, "target": {}, "given": {}},
+        {"t": 3.7, "target": {"D3": "o2", "D1": "o1"}, "given": {"D2": "o0"}},
+        {"t": 3.7, "assignment": {"D3": "o0", "D2": "o1", "D1": "o2"}},
+        {"t": 1.5, "assignment": {"D2": "r", "D1": "o1"}},
+    ]
+    return data
+
+
+def corpus(inputs: list[str]) -> list[tuple[dict, list[str]]]:
+    """(extra environment, ``qtimeline`` arguments) per command; written files land in the working directory."""
+    commands = [  # the CI "Console script" lines
+        ({}, ["wigner"]),
+        ({}, ["wigner", "--t", "1.5"]),
+        ({}, ["wigner", "--t", "inf"]),
+        ({}, ["wigner", "--a", "0.6", "--b", "0.8", "--alpha", "0.8", "--beta", "0.6", "--csv", "wigner.csv"]),
+        ({}, ["simulate", TWO]),
+        ({}, ["validate", "tests/data/unit_norm_edge.json"]),
+        ({}, ["simulate", "tests/data/unit_norm_edge.json"]),
+        (ASCII, ["simulate", "tests/data/non_ascii_label.json"]),
+        ({}, ["simulate", "examples/frauchiger_renner.json"]),
+    ]
+    for path in inputs:
+        commands += [({}, ["simulate", path]), ({}, ["simulate", path, "--csv", "out.csv"]), ({}, ["validate", path]),
+                     ({}, ["export", path]), ({}, ["export", path, "--out", "out.json"])]
+    specs = ("D3=o1,D1=o0@t=3.7", "D3=o1|D1=o0@t=inf", "D3=o1,D1=o2|D2=o0@t=3.7", "D1=o0,D2=o1,D3=r@t=2.5",
+             "D1=o0|@t=2.5", "D2=o0|D1=o0@t=0.5", "D1=zz@t=2.5", "X=o0@t=2.5", "full-table@t=1.5")
+    commands += [({}, ["simulate", TWO, "--query", spec, "--csv", "out.csv"]) for spec in specs]
+    commands.append(({}, ["simulate", TWO, *(arg for spec in specs[:4] for arg in ("--query", spec))]))
+    for a, b, alpha, beta in PAIRS:
+        for t in ("0.5", "1.5", "3", "inf"):
+            flags = ["--a", a, "--b", b, "--alpha", alpha, "--beta", beta, "--t", t]
+            commands.append(({}, ["wigner", *flags, "--csv", "out.csv"]))
+    commands += [
+        (ASCII, ["simulate", "tests/data/non_ascii_label.json", "--query", "full-table@t=3", "--csv", "out.csv"]),
+        ({}, ["simulate", TWO, "--csv", "missing/out.csv"]),
+        ({}, ["wigner", "--csv", "missing/out.csv"]),
+        ({}, ["simulate", "chain12.json"]),
+        ({}, ["simulate", "chain12.json", "--query", "full-table@t=13", "--csv", "out.csv"]),
+    ]
+    return commands
+
+
+def run(src: Path, inputs: Path, workdir: Path, extra_env: dict, args: list[str]) -> tuple:
+    """Run one command against ``src`` in an empty ``workdir`` that links to the inputs."""
+    workdir.mkdir(parents=True)
+    for entry in inputs.iterdir():
+        (workdir / entry.name).symlink_to(entry)
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", **extra_env}
+    done = subprocess.run([sys.executable, "-m", "qtimeline.cli", *args], cwd=workdir, env=env, capture_output=True)
+    written = {p.name: p.read_bytes() for p in sorted(workdir.iterdir()) if not p.is_symlink()}
+    return done.stdout, done.stderr, done.returncode, written
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("rev", help="the git revision to compare the working tree against, e.g. HEAD~1")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory(prefix="compare_outputs.") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", "--format=tar", args.rev, "src"], cwd=ROOT, capture_output=True)
+        if archive.returncode:
+            print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "rev", **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        inputs = tmp / "inputs"
+        for name in ("tests/data", "examples"):
+            shutil.copytree(ROOT / name, inputs / name)
+        (inputs / "tests/data/query_shapes.json").write_text(json.dumps(query_shapes()), encoding="utf-8")
+        (inputs / "chain12.json").write_text(json.dumps(qubit_chain(12)), encoding="utf-8")
+        files = [*inputs.glob("tests/data/*.json"), *inputs.glob("examples/*.json")]
+
+        commands = corpus(sorted(str(p.relative_to(inputs)) for p in files))
+        sides = (("rev", tmp / "rev" / "src"), ("tree", ROOT / "src"))
+        differ = 0
+        with ThreadPoolExecutor(len(sides)) as pool:
+            for n, (extra_env, argv) in enumerate(commands):
+                before, after = pool.map(
+                    lambda side: run(side[1], inputs, tmp / side[0] / "runs" / str(n), extra_env, argv), sides)
+                parts = [part for part, x, y in zip(("stdout", "stderr", "exit code", "written files"), before, after)
+                         if x != y]
+                if parts:
+                    differ += 1
+                    env = "".join(f"{k}={v} " for k, v in extra_env.items())
+                    print(f"{env}qtimeline {' '.join(argv)}: {', '.join(parts)} differ")
+    print(f"{len(commands)} commands, {differ} differ from {args.rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,27 +10,21 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import os
 import sys
-from dataclasses import dataclass
+
+import numpy as np
 
 from .hilbert import DomainError
 from .probability import (ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable, conditional, full_table,
                           joint, marginal)
 from .scenario import ScenarioError, dump_scenario, load_scenario, parse_query_string
 from .timeline import HistoryState, build_history
-from .wigner import FRIEND, WIGNER, WignerScenario, tables, unit_pair
+from .wigner import WignerScenario, tables, unit_pair
 
 PRETTY_DIGITS = 6
 CSV_DIGITS = 12
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    t: float
-    assignment: str
-    kind: str
-    value: float
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -38,35 +32,42 @@ def _fmt(value: float, digits: int) -> str:
     return f"{min(max(value, 0.0), 1.0):.{digits}g}"
 
 
-def _result_row(t: float, kind: str, value: float, order, assignment, given=None) -> ResultRow:
-    """Row text 'D=o,...' in ``order``; with ``given``, those detectors follow a '|'."""
-    def text(names) -> str:
-        return ",".join(f"{d}={assignment[d]}" for d in order if d in names)
-
-    label = text(assignment.keys() - set(given or ()))
-    return ResultRow(t, label if given is None else f"{label}|{text(given)}", kind, value)
-
-
-def _evaluate_query(history: HistoryState, query: OutcomeQuery) -> list[ResultRow]:
-    order = history.schedule.detector_labels
+def _answer(history: HistoryState, query: OutcomeQuery) -> tuple[str, ProbabilityTable]:
+    """The query's kind and its answer as a table: a full table is the segment's own; any other
+    query is one cell over the detectors it names, in schedule order, ``given`` the conditioned ones."""
+    if query.given is None and not query.assignments:
+        return "joint", full_table(history, query.t)
     if query.given is not None:
-        value = conditional(history, query.assignments, query.given, query.t)
-        both = {**query.assignments, **query.given}
-        return [_result_row(query.t, "conditional", value, order, both, query.given)]
-    if not query.assignments:
-        table = full_table(history, query.t)
-        return [_result_row(query.t, "joint", value, order, dict(zip(table.detectors, key)))
-                for key, value in table.rows]
-    if set(query.assignments) == set(order):
-        return [_result_row(query.t, "joint", joint(history, query), order, query.assignments)]
-    return [_result_row(query.t, "marginal", marginal(history, query), order, query.assignments)]
+        kind, value = "conditional", conditional(history, query.assignments, query.given, query.t)
+    elif set(query.assignments) == set(history.schedule.detector_labels):
+        kind, value = "joint", joint(history, query)
+    else:
+        kind, value = "marginal", marginal(history, query)
+    named = {**query.assignments, **(query.given or {})}
+    detectors = tuple(d for d in history.schedule.detector_labels if d in named)
+    given = tuple(d for d in detectors if d not in query.assignments)
+    cell = np.full([1] * len(detectors), value)
+    return kind, ProbabilityTable(detectors, tuple((named[d],) for d in detectors), cell, given)
 
 
-def _csv_text(rows: list[ResultRow]) -> str:
+def _rows(t: float, kind: str, table: ProbabilityTable):
+    """Yield (t, text, kind, value) per cell in row order.  ``text`` is the query-string body: 'D=o,...' over
+    the target detectors, then, for a conditional, '|' and the given ones, each in the table's detector order."""
+    pieces = [[f"{d}={label}" for label in labels] for d, labels in zip(table.detectors, table.labels)]
+    given = [d in table.given for d in table.detectors]
+    target = [not g for g in given]
+    for key, value in zip(itertools.product(*pieces), table.weights.ravel().tolist()):
+        text = ",".join(itertools.compress(key, target))
+        yield t, f"{text}|{','.join(itertools.compress(key, given))}" if kind == "conditional" else text, kind, value
+
+
+def _csv_text(answers) -> str:
+    """CSV of the rows of each (t, kind, table) answer."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["t", "assignment", "kind", "value"])
-    writer.writerows([f"{row.t:g}", row.assignment, row.kind, _fmt(row.value, CSV_DIGITS)] for row in rows)
+    rows = (row for answer in answers for row in _rows(*answer))
+    writer.writerows([f"{t:g}", text, kind, _fmt(value, CSV_DIGITS)] for t, text, kind, value in rows)
     return buffer.getvalue()
 
 
@@ -81,14 +82,21 @@ def _write_output(path: str, text: str) -> bool:
     return True
 
 
-def _print_rows(rows: list[ResultRow], total: bool = False) -> None:
+def _print_rows(t: float, kind: str, table: ProbabilityTable, total: bool = False) -> None:
+    """Stream the table's rows to stdout, then, with ``total``, their sum in row order."""
     encoding = sys.stdout.encoding or "utf-8"  # pad each label by its width as stdout prints it, escapes included
-    labels = [row.assignment.encode(encoding, "backslashreplace").decode(encoding) for row in rows]
-    width = max(map(len, labels))
-    for row, label in zip(rows, labels):
-        print(f"  {row.kind:<12} t={row.t:<8g} {label:<{width}}  {_fmt(row.value, PRETTY_DIGITS)}")
+
+    def shown(text: str) -> str:
+        return text.encode(encoding, "backslashreplace").decode(encoding)
+
+    def line(text: str, value: float) -> float:
+        print(f"  {kind:<12} t={t:<8g} {shown(text):<{width}}  {_fmt(value, PRETTY_DIGITS)}")
+        return value
+
+    width = max(len(shown(text)) for _, text, _, _ in _rows(t, kind, table))
+    value_sum = sum(line(text, value) for _, text, _, value in _rows(t, kind, table))
     if total:
-        print(f"  {'total':<12} {'':<10} {'':<{width}}  {_fmt(sum(r.value for r in rows), PRETTY_DIGITS)}")
+        print(f"  {'total':<12} {'':<10} {'':<{width}}  {_fmt(value_sum, PRETTY_DIGITS)}")
 
 
 def _cmd_simulate(args) -> int:
@@ -99,32 +107,28 @@ def _cmd_simulate(args) -> int:
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
 
-    if args.query:
-        try:
-            queries = [parse_query_string(text, scenario.schedule) for text in args.query]
-        except ScenarioError as err:
-            print(f"{err}", file=sys.stderr)
-            return 2
-    else:
-        queries = list(scenario.queries)
+    try:  # the --query specs, else the file's queries
+        queries = [parse_query_string(text, scenario.schedule) for text in args.query or ()] or scenario.queries
+    except ScenarioError as err:
+        print(f"{err}", file=sys.stderr)
+        return 2
 
-    all_rows: list[ResultRow] = []
+    answers = []  # (t, kind, table): a full table is the history's own, so rows are formed only to print or write
     failed = False
     for index, query in enumerate(queries):
         try:
-            rows = _evaluate_query(history, query)
+            kind, table = _answer(history, query)
         except (ConditioningOnNullEvent, KeyError) as err:
             message = err.args[0] if err.args else str(err)
             print(f"query {index}: {message}", file=sys.stderr)
             failed = True
             continue
-        full = query.given is None and not query.assignments
-        if full:
+        if full := query.given is None and not query.assignments:
             print(f"full table at t={query.t:g}")
-        _print_rows(rows, total=full)
-        all_rows.extend(rows)
+        _print_rows(query.t, kind, table, total=full)
+        answers.append((query.t, kind, table))
 
-    if args.csv and not _write_output(args.csv, _csv_text(all_rows)):
+    if args.csv and not _write_output(args.csv, _csv_text(answers)):
         return 2
     return 1 if failed else 0
 
@@ -176,14 +180,8 @@ def _cmd_wigner(args) -> int:
     )
     print("\n\n".join(f"{title} at t={t:g}\n{text(table)}" for title, table, text, _ in sections))
 
-    if args.csv:
-        rows = [
-            _result_row(t, kind, value, (FRIEND, WIGNER), dict(zip(table.detectors, key)), table.given or None)
-            for _, table, _, kind in sections
-            for key, value in table.rows
-        ]
-        if not _write_output(args.csv, _csv_text(rows)):
-            return 2
+    if args.csv and not _write_output(args.csv, _csv_text((t, kind, table) for _, table, _, kind in sections)):
+        return 2
     return 0
 
 

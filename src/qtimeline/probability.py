@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .hilbert import DomainError, _frozen
+from .hilbert import TOL_EQUALITY, DomainError, _frozen
 
 if TYPE_CHECKING:
     from .timeline import HistoryState
@@ -78,8 +78,8 @@ class ProbabilityTable:
         object.__setattr__(self, "weights", weights)
         if weights.shape != tuple(map(len, self.labels)) or len(self.detectors) != weights.ndim:
             raise DomainError(f"weights of shape {weights.shape} do not fit the labels {self.labels}")
-        if not (weights.min(initial=0.0) >= -1e-12 and weights.max(initial=0.0) < math.inf):  # NaN fails both
-            bad = ~np.isfinite(weights) | (weights < -1e-12)
+        if not (weights.min(initial=0.0) >= -TOL_EQUALITY and weights.max(initial=0.0) < math.inf):  # NaN fails both
+            bad = ~np.isfinite(weights) | (weights < -TOL_EQUALITY)
             cell = np.unravel_index(bad.argmax(), weights.shape)  # the first in row order
             value, key = float(weights[cell]), tuple(axis[i] for axis, i in zip(self.labels, cell))
             kind = "negative" if math.isfinite(value) else "non-finite"

@@ -8,7 +8,9 @@ begin and end.  Time is a query parameter: conditioning on a clock reading
 selects a segment and evolves its anchor, and there is no discretized time
 grid anywhere.
 
-This module alone knows how a record is stored.  An ancilla's basis is fixed
+Two places know how a record is stored: ``instrument.apply_instrument``
+appends a fired detector's record as its n outcome slots, and this module
+decides everything else.  An ancilla's basis is fixed
 (``DetectorModel.record_index``): ready at index 0, outcome i at index i + 1.
 An anchor stores the system factors, then one axis per detector fired before
 it, in schedule order: its outcome slots 1..n, or its whole ancilla from the

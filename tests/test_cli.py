@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtimeline
-from qtimeline.cli import _evaluate_query, main
+from qtimeline.cli import _answer, _rows, main
 from qtimeline.probability import OutcomeQuery, joint
 from qtimeline.sampling import random_record_scenario, random_scenario, random_wide_scenario
 from qtimeline.scenario import parse_query_string, parse_scenario
@@ -81,6 +82,7 @@ def test_wigner_subcommand_csv(tmp_path, capsys):
     conditional_rows = [r for r in rows if r["kind"] == "conditional"]
     assert len(conditional_rows) == 8
     assert any("|" in r["assignment"] for r in conditional_rows)
+    assert csv_path.read_bytes() == (DATA / "wigner.csv").read_bytes()
 
 
 DATA = Path(__file__).parent / "data"
@@ -568,6 +570,19 @@ def test_validate_too_large_history_is_validation_error(tmp_path, capsys):
     assert "exceeds the limit" in captured.err
 
 
+def test_simulate_prints_a_full_table_without_holding_its_rows(tmp_path):
+    """The 2**14 rows are streamed, not kept: at about 500 B per kept row the traced peak would be near 9 MiB."""
+    path = write_large_scenario(tmp_path, count=14)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", str(path), "--query", "full-table@t=15"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("command", ["validate", "export", "simulate"])
 def test_every_file_command_gives_the_parse_verdict_on_a_too_large_history(tmp_path, capsys, command):
     path = write_large_scenario(tmp_path, count=25)
@@ -705,9 +720,9 @@ def test_every_full_table_row_reads_back_as_a_query_of_its_weight(sampler):
         for k in range(len(history.schedule) + 1):
             t = history.anchor_time(k) + 0.5  # the samplers put their events one unit apart
             assert history.segment_at(t) == k
-            for row in _evaluate_query(history, OutcomeQuery({}, t)):
-                query = parse_query_string(f"{row.assignment}@t={t!r}", history.schedule)
-                assert joint(history, query) == row.value
+            for _, text, _, value in _rows(t, *_answer(history, OutcomeQuery({}, t))):
+                query = parse_query_string(f"{text}@t={t!r}", history.schedule)
+                assert joint(history, query) == value
 
 
 def test_labels_at_the_edge_of_the_rule_round_trip(tmp_path, capsys):

@@ -216,6 +216,8 @@ def test_query_string_forms():
         parse_query_string("M=up|M=down@t=2.0", scenario.schedule)
     with pytest.raises(ScenarioError, match="cannot parse time 'abc'"):
         parse_query_string("M=up@t=abc", scenario.schedule)
+    with pytest.raises(ScenarioError, match="time must be written as '@t=<time>'"):
+        parse_query_string("M=up@x=2.0", scenario.schedule)
 
 
 def test_query_string_conditional_form():
