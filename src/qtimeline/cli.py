@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import os
 import sys
@@ -61,21 +60,19 @@ def _rows(t: float, kind: str, table: ProbabilityTable):
         yield t, f"{text}|{','.join(itertools.compress(key, given))}" if kind == "conditional" else text, kind, value
 
 
-def _csv_text(answers) -> str:
-    """CSV of the rows of each (t, kind, table) answer."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
+def _write_csv(handle, answers) -> None:
+    """Stream the rows of each (t, kind, table) answer to ``handle`` as CSV, so no row outlives its write."""
+    writer = csv.writer(handle)
     writer.writerow(["t", "assignment", "kind", "value"])
     rows = (row for answer in answers for row in _rows(*answer))
     writer.writerows([f"{t:g}", text, kind, _fmt(value, CSV_DIGITS)] for t, text, kind, value in rows)
-    return buffer.getvalue()
 
 
-def _write_output(path: str, text: str) -> bool:
-    """Write ``text`` to ``path``; False, after one stderr line, if it cannot be written."""
+def _write_output(path: str, write) -> bool:
+    """Call ``write`` on ``path`` opened as UTF-8 text; False, after one stderr line, if it cannot be written."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            write(handle)
     except OSError as err:
         print(f"{path}: {err}", file=sys.stderr)
         return False
@@ -128,7 +125,7 @@ def _cmd_simulate(args) -> int:
         _print_rows(query.t, kind, table, total=full)
         answers.append((query.t, kind, table))
 
-    if args.csv and not _write_output(args.csv, _csv_text(answers)):
+    if args.csv and not _write_output(args.csv, lambda handle: _write_csv(handle, answers)):
         return 2
     return 1 if failed else 0
 
@@ -180,7 +177,8 @@ def _cmd_wigner(args) -> int:
     )
     print("\n\n".join(f"{title} at t={t:g}\n{text(table)}" for title, table, text, _ in sections))
 
-    if args.csv and not _write_output(args.csv, _csv_text((t, kind, table) for _, table, _, kind in sections)):
+    answers = ((t, kind, table) for _, table, _, kind in sections)
+    if args.csv and not _write_output(args.csv, lambda handle: _write_csv(handle, answers)):
         return 2
     return 0
 
@@ -205,7 +203,7 @@ def _cmd_export(args) -> int:
         return 2
     text = dump_scenario(scenario)
     if args.out:
-        return 0 if _write_output(args.out, text) else 2
+        return 0 if _write_output(args.out, lambda handle: handle.write(text)) else 2
     sys.stdout.write(text)
     return 0
 

@@ -5,15 +5,18 @@ factors; every structural mismatch surfaces as :class:`LayoutError` instead of
 silent broadcasting.  All values are immutable after construction and every
 operation is a pure function, so concurrent reads need no coordination.
 Operators act on the factors they name by direct contraction (``_contract``);
-no identity-padded matrix is ever built.
+no identity-padded matrix is ever built.  What depends on layouts alone (a
+derived layout, a contraction's axis permutations) is computed once per
+type-exact structure key and kept in a bounded ``lru_cache`` of ``CACHE_SIZE``
+entries; a refusal raises before anything is stored, so it repeats on every call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import zip_longest
+from functools import cached_property, lru_cache
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -23,6 +26,7 @@ import numpy as np
 TOL_PREDICATE = 1e-10
 TOL_EQUALITY = 1e-12
 NEAR_ZERO_NORM = 1e-9  # a state vector with a smaller norm is refused, not normalized
+CACHE_SIZE = 64  # entries per layout-only cache here and in ``timeline``; an entry holds about 1 KiB
 
 
 class LayoutError(ValueError):
@@ -59,7 +63,7 @@ class SubsystemLayout:
 
     def _derive(self, factors: tuple[tuple[str, int], ...]) -> "SubsystemLayout":
         """The layout over ``factors``: this layout's, some resized, then new ones; only those are checked."""
-        return object.__new__(SubsystemLayout)._settle(factors, self.factors)
+        return _derived(self.factors, factors, tuple(map(type, chain.from_iterable(factors))))
 
     def _settle(self, factors, checked) -> "SubsystemLayout":
         """Store ``factors``, each through ``_factor`` unless ``checked`` holds it at its place; no label twice."""
@@ -89,6 +93,12 @@ class SubsystemLayout:
 
     def dim_of(self, label: str) -> int:
         return self.factors[self.axis(label)][1]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _derived(checked, factors, types) -> SubsystemLayout:
+    """One interned layout per key; ``types`` makes the key type-exact, as True == 1 and 2.0 == 2 hash alike."""
+    return object.__new__(SubsystemLayout)._settle(factors, checked)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -209,20 +219,24 @@ class Operator:
 def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, state: StateVector) -> np.ndarray:
     """Apply ``matrices`` (one matrix on ``op_layout``, or a stack whose axes trail the
     result) to the factors of ``op_layout`` in ``state``, as a tensor over its layout."""
-    tens = state.as_tensor()
+    lead = matrices.ndim - 2
+    perm, inverse = _contract_plan(op_layout, state.layout, lead)
+    moved = state.as_tensor().transpose(perm)
+    out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:lead] + moved.shape)
+    return out.transpose(inverse)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _contract_plan(op_layout: SubsystemLayout, layout: SubsystemLayout, lead: int) -> tuple[tuple, tuple]:
+    """``_contract``'s axis order, the operator's factors first, and the order that undoes it behind ``lead``."""
     axes = []
     for label, dim in op_layout.factors:
-        ax = state.layout.axis(label)
-        if tens.shape[ax] != dim:
-            raise LayoutError(
-                f"dimension mismatch for {label!r}: operator has {dim}, state has {tens.shape[ax]}"
-            )
+        ax = layout.axis(label)
+        if layout.dims[ax] != dim:
+            raise LayoutError(f"dimension mismatch for {label!r}: operator has {dim}, state has {layout.dims[ax]}")
         axes.append(ax)
-    perm = axes + [ax for ax in range(tens.ndim) if ax not in axes]
-    moved = tens.transpose(perm)
-    lead = matrices.ndim - 2
-    out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:lead] + moved.shape)
-    return out.transpose([*(lead + perm.index(ax) for ax in range(tens.ndim)), *range(lead)])
+    perm = (*axes, *(ax for ax in range(len(layout.dims)) if ax not in axes))
+    return perm, (*(lead + perm.index(ax) for ax in range(len(perm))), *range(lead))
 
 
 def _unitary(h: Operator, dt: float) -> np.ndarray:

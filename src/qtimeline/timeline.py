@@ -20,6 +20,9 @@ system then every whole ancilla, and ``state_at`` zero-pads an anchor to it.
 Each segment's record weights, the one probability primitive, are formed per
 anchor on its first read as a labelled ``ProbabilityTable``
 (``HistoryState.records``), so no reader needs the storage convention.
+``history_layout``'s verdict, keyed by the system layout and each event's
+(name, ancilla dimension, target factors), and ``_pad``'s slice block, keyed by
+its two layouts, are cached as ``hilbert``'s plans are: ``CACHE_SIZE`` entries, no refusal.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .hilbert import (
+    CACHE_SIZE,
     DomainError,
     LayoutError,
     Operator,
@@ -179,22 +183,26 @@ def history_layout(system: SubsystemLayout, schedule: EventSchedule) -> Subsyste
     times n_out per record or n_out + 1 for a record some Kraus acts on, must
     not exceed ``MAX_DENSE_DIM`` (DomainError).
     """
-    records = tuple((det.detector_label, det.ancilla_dim) for _, det in schedule.events)
-    full = system._derive(system.factors + records)
+    events = ((det.detector_label, det.ancilla_dim, det.kraus.target_layout.factors) for _, det in schedule.events)
+    return _history_layout(system, tuple(events))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _history_layout(system: SubsystemLayout, events: tuple) -> SubsystemLayout:
+    """``history_layout``'s verdict from its structure: (name, ancilla dimension, target factors) per event."""
+    full = system._derive(system.factors + tuple((name, dim) for name, dim, _ in events))
     present = dict(system.factors)
     targeted = set()
-    for _, det in schedule.events:
-        for label, dim in det.kraus.target_layout.factors:
+    for name, ancilla_dim, targets in events:
+        for label, dim in targets:
             if present.get(label) != dim:
                 raise LayoutError(
-                    f"detector {det.detector_label!r} acts on factor ({label!r}, {dim}), which is neither "
+                    f"detector {name!r} acts on factor ({label!r}, {dim}), which is neither "
                     f"a system factor nor the record of a detector fired before it"
                 )
-        present[det.detector_label] = det.ancilla_dim
-        targeted.update(det.kraus.target_labels)
-    stored = system.dim * math.prod(
-        det.ancilla_dim - (det.detector_label not in targeted) for _, det in schedule.events
-    )
+        present[name] = ancilla_dim
+        targeted.update(label for label, _ in targets)
+    stored = system.dim * math.prod(dim - (name not in targeted) for name, dim, _ in events)
     if stored > MAX_DENSE_DIM:
         raise DomainError(
             f"last anchor of {stored} amplitudes (system and stored records) exceeds the limit of "
@@ -207,13 +215,20 @@ def _pad(amplitudes: np.ndarray, stored: SubsystemLayout, layout: SubsystemLayou
     """Amplitudes on ``stored`` zero-padded into ``layout``, by one slice assignment: ``layout`` lists
     the same factors in order except that a record may be whole where ``stored`` keeps its outcome
     slots (1..n), and may be absent from ``stored``, which then reads as its ready state (index 0)."""
-    dims = dict(stored.factors)
-    block = tuple(slice(dim - dims[label], dim) if label in dims else slice(1) for label, dim in layout.factors)
+    block, shape = _pad_plan(stored, layout)
     out = np.zeros(layout.dims, dtype=np.complex128)
-    out[block] = amplitudes.reshape([dims.get(label, 1) for label in layout.labels])
+    out[block] = amplitudes.reshape(shape)
     out = out.reshape(-1)
     out.setflags(write=False)
     return StateVector(layout, out)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _pad_plan(stored: SubsystemLayout, layout: SubsystemLayout) -> tuple[tuple[slice, ...], tuple[int, ...]]:
+    """``_pad``'s slice block in ``layout`` and the shape ``stored``'s amplitudes take inside it."""
+    dims = dict(stored.factors)
+    block = tuple(slice(dim - dims[label], dim) if label in dims else slice(1) for label, dim in layout.factors)
+    return block, tuple(dims.get(label, 1) for label in layout.labels)
 
 
 def _evolve(h: Operator, state: StateVector, t: float, t_from: float) -> np.ndarray:

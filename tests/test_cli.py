@@ -405,6 +405,23 @@ def test_unwritable_output_path_is_validation_error(tmp_path, command):
     assert proc.stderr.startswith(f"{out}: ")
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", ["export", "simulate", "wigner"])
+def test_a_full_device_is_validation_error(tmp_path, command):
+    """/dev/full opens, then fails on a write: for ``simulate`` in the middle of the streamed CSV rows."""
+    argv = {
+        "export": ["export", str(write_scenario(tmp_path)), "--out", "/dev/full"],
+        "simulate": ["simulate", str(write_large_scenario(tmp_path, count=10)), "--query", "full-table@t=11",
+                     "--csv", "/dev/full"],
+        "wigner": ["wigner", "--csv", "/dev/full"],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtimeline.cli", *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "/dev/full: [Errno 28] No space left on device\n"
+
+
 def child_env():
     """Environment in which a fresh interpreter imports the qtimeline under test."""
     env = dict(os.environ)
@@ -581,6 +598,21 @@ def test_simulate_prints_a_full_table_without_holding_its_rows(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_simulate_writes_a_full_table_csv_without_holding_its_rows(tmp_path):
+    """The CSV rows stream to the open file: building the 1.9 MB text first peaked near 6 MiB."""
+    path, out = write_large_scenario(tmp_path, count=14), tmp_path / "rows.csv"
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", str(path), "--query", "full-table@t=15", "--csv", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
+    with open(out, encoding="utf-8", newline="") as handle:
+        assert sum(1 for _ in csv.reader(handle)) == 1 + 2**14
 
 
 @pytest.mark.parametrize("command", ["validate", "export", "simulate"])

@@ -82,6 +82,30 @@ def test_a_derived_layout_refuses_what_the_constructor_refuses(factors, message)
             make(factors)
 
 
+# ``_derive`` caches its layouts; True == 1, np.True_ == 1 and 2.0 == 2 with equal hashes, so a key on the raw
+# factors would hand back the int twin's layout and skip the refusal.
+@pytest.mark.parametrize("position", ["appended", "resized"])
+@pytest.mark.parametrize(
+    "twin, dim, shown",
+    [(1, True, "True"), (1, np.bool_(True), r"(np\.)?True_?"), (2, 2.0, "2.0"), (2, 2.5, "2.5"), (2, "2", "'2'")],
+    ids=["bool", "numpy-bool", "float-2.0", "float-2.5", "string"],
+)
+def test_a_cached_int_twin_lets_no_refused_dimension_through(position, twin, dim, shown):
+    def factors(d):
+        return CHECKED.factors + (("D2", d),) if position == "appended" else (("S", 2), ("Q", 3), ("D2", d))
+
+    assert CHECKED._derive(factors(twin)) == SubsystemLayout(factors(twin))
+    for _ in range(2):
+        for make in (CHECKED._derive, SubsystemLayout):
+            with pytest.raises(LayoutError, match=rf"^dimension {shown} of subsystem 'D2' is not an integer$"):
+                make(factors(dim))
+
+
+def test_a_cached_label_keeps_its_own_text():
+    assert CHECKED._derive(CHECKED.factors + ((1, 2),)).labels[-1] == "1"
+    assert CHECKED._derive(CHECKED.factors + ((True, 2),)).labels[-1] == "True"
+
+
 @pytest.mark.parametrize("lookup", [CHECKED.axis, CHECKED.dim_of], ids=["axis", "dim_of"])
 def test_a_lookup_of_a_missing_label_names_the_layout(lookup):
     with pytest.raises(LayoutError, match=r"^no subsystem 'X' in layout \('S', 'Q', 'D1'\)$"):
