@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Run one fixed command corpus under a git revision and under the working tree; print what differs.
 
-    python scripts/compare_outputs.py REV
+    python3 scripts/compare_outputs.py REV
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory, so the
-repository's own ``.git`` is left as it was.  The inputs come from the working tree
-(``tests/data/*.json``, ``examples/*.json`` and two files written here: a query-shape
-variant of ``two_factor_wigner.json`` and a 12-detector qubit chain), so both sides read
-the same files.  Each command runs as ``python -m qtimeline.cli`` in a fresh directory per
-side, and its stdout, stderr, exit code and every file it writes there are compared.  Each
-command that differs is printed with the parts that differ; the exit code is 1 if any
-differs, else 0.
+repository's own ``.git`` is left as it was.  The inputs come from the working tree:
+``tests/data/*.json``, ``examples/*.json`` and the files ``generated()`` writes with the
+working tree's samplers and canonical form (a query-shape variant of
+``two_factor_wigner.json``, a 12-detector qubit chain, seeded sampler files and refusal
+inputs), so both sides read the same files.  Each command runs as ``python -m
+qtimeline.cli`` in a fresh directory per side, and its stdout, stderr, exit code and
+every file it writes there are compared.  Each command that differs is printed with the
+parts that differ; the exit code is 1 if any differs, else 0.
 """
 
 import argparse
@@ -24,6 +25,11 @@ import tarfile
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
+
+from qtimeline.sampling import random_record_scenario, random_scenario, random_wide_scenario
+from qtimeline.scenario import scenario_to_data
 
 ROOT = Path(__file__).resolve().parent.parent
 ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}  # stdout cannot encode a non-ASCII label
@@ -68,7 +74,68 @@ def query_shapes() -> dict:
     return data
 
 
-def corpus(inputs: list[str]) -> list[tuple[dict, list[str]]]:
+def sampled(sampler, seed: int, t0: bool) -> dict:
+    """A seeded sampler draw with a full table in every segment, a marginal and a conditional; no t0 unless ``t0``."""
+    scenario = sampler(np.random.default_rng(seed))
+    data = scenario_to_data(scenario)
+    if not t0:
+        del data["system"]["t0"]
+    times, events = scenario.schedule.times, scenario.schedule.events
+    (_, first), (_, last), end = events[0], events[-1], times[-1] + 0.5
+    target = {last.detector_label: last.kraus.outcome_labels[0]}
+    given = {first.detector_label: first.kraus.outcome_labels[-1]} if len(events) > 1 else {}
+    data["queries"] = [*({"t": t, "full_table": True} for t in (*(t - 0.5 for t in times), end)),
+                       {"t": end, "assignment": target}, {"t": end, "target": target, "given": given}]
+    return data
+
+
+def refusals() -> dict[str, bytes]:
+    """Inputs some file command refuses, by name: the bytes of each.  Most are edits of a one-detector chain; only
+    ``simulate`` refuses the anchor-norm file and the 1e308 entry, whose phase over t0 = 0 -> 2 is not finite."""
+    def edited(*edits) -> bytes:
+        data = qubit_chain(1)
+        for *keys, key, value in edits:
+            part = data
+            for k in keys:
+                part = part[k]
+            part[key] = value
+        return json.dumps(data).encode()
+
+    s = (1 + 2e-11) ** 0.5  # complete to 2e-11, within TOL_PREDICATE, but the anchor's norm is 1 + 1e-11
+    anchor_norm = {  # ROADMAP item 9: a qubit in |0>, H = 0, one detector whose one outcome is s I
+        "system": {"factors": [["S", 2]], "state": [_pair(1), _pair(0)], "hamiltonian": [[_pair(0)] * 2] * 2},
+        "events": [{"time": 1.0, "detector": "D", "targets": ["S"],
+                    "kraus": [{"outcome": "seen", "matrix": [[_pair(s), _pair(0)], [_pair(0), _pair(s)]]}]}],
+    }
+    return {
+        "not_json.json": b"{not json",
+        "not_utf8.json": b"\xff",
+        "top_level_list.json": json.dumps([qubit_chain(1)]).encode(),
+        "dim_true.json": edited(("system", "factors", [["S", True]])),
+        "dim_float.json": edited(("system", "factors", [["S", 2.0]])),
+        "repeated_factor.json": edited(("system", "factors", [["S", 2], ["S", 1]])),
+        "detector_named_S.json": edited(("events", 0, "detector", "S")),
+        "label_with_equals.json": edited(("events", 0, "kraus", 0, "outcome", "u=p")),
+        "unknown_target.json": edited(("events", 0, "targets", ["X"])),
+        "hamiltonian_1e308.json": edited(("system", "hamiltonian", 0, 0, [1e308, 0.0]), ("events", 0, "time", 2.0)),
+        "anchor_norm.json": json.dumps(anchor_norm).encode(),
+    }
+
+
+def generated() -> dict[str, bytes]:
+    """Every input written here, by its path among the inputs: its bytes, the same on every call."""
+    files = {"tests/data/query_shapes.json": json.dumps(query_shapes()).encode(),
+             "chain12.json": json.dumps(qubit_chain(12)).encode()}
+    for sampler in (random_scenario, random_wide_scenario, random_record_scenario):
+        for seed in (0, 1):
+            for t0 in (True, False):
+                name = f"samples/{sampler.__name__}-{seed}{'' if t0 else '-no-t0'}.json"
+                files[name] = json.dumps(sampled(sampler, seed, t0)).encode()
+    files.update((f"refusals/{name}", data) for name, data in refusals().items())
+    return files
+
+
+def corpus() -> list[tuple[dict, list[str]]]:
     """(extra environment, ``qtimeline`` arguments) per command; written files land in the working directory."""
     commands = [  # the CI "Console script" lines
         ({}, ["wigner"]),
@@ -81,7 +148,10 @@ def corpus(inputs: list[str]) -> list[tuple[dict, list[str]]]:
         (ASCII, ["simulate", "tests/data/non_ascii_label.json"]),
         ({}, ["simulate", "examples/frauchiger_renner.json"]),
     ]
-    for path in inputs:
+    files = generated()
+    committed = (*ROOT.glob("tests/data/*.json"), *ROOT.glob("examples/*.json"))
+    names = sorted([*(str(p.relative_to(ROOT)) for p in committed), *(n for n in files if n.startswith("tests/data/"))])
+    for path in names:
         commands += [({}, ["simulate", path]), ({}, ["simulate", path, "--csv", "out.csv"]), ({}, ["validate", path]),
                      ({}, ["export", path]), ({}, ["export", path, "--out", "out.json"])]
     specs = ("D3=o1,D1=o0@t=3.7", "D3=o1|D1=o0@t=inf", "D3=o1,D1=o2|D2=o0@t=3.7", "D1=o0,D2=o1,D3=r@t=2.5",
@@ -93,12 +163,18 @@ def corpus(inputs: list[str]) -> list[tuple[dict, list[str]]]:
             flags = ["--a", a, "--b", b, "--alpha", alpha, "--beta", beta, "--t", t]
             commands.append(({}, ["wigner", *flags, "--csv", "out.csv"]))
     commands += [
+        ({}, ["wigner", "--t=-inf"]),
+        ({}, ["wigner", "--a", "1e200", "--b", "1e200", "--alpha", "3e200", "--beta", "4e200", "--csv", "out.csv"]),
+        ({}, ["wigner", "--a", "1", "--b", "0", "--alpha", "1", "--beta", "0"]),  # a null conditional: exit 1
         (ASCII, ["simulate", "tests/data/non_ascii_label.json", "--query", "full-table@t=3", "--csv", "out.csv"]),
         ({}, ["simulate", TWO, "--csv", "missing/out.csv"]),
         ({}, ["wigner", "--csv", "missing/out.csv"]),
         ({}, ["simulate", "chain12.json"]),
         ({}, ["simulate", "chain12.json", "--query", "full-table@t=13", "--csv", "out.csv"]),
     ]
+    for name in files:
+        if name.startswith(("samples/", "refusals/")):
+            commands += [({}, [command, name]) for command in ("validate", "export", "simulate")]
     return commands
 
 
@@ -129,11 +205,11 @@ def main() -> int:
         inputs = tmp / "inputs"
         for name in ("tests/data", "examples"):
             shutil.copytree(ROOT / name, inputs / name)
-        (inputs / "tests/data/query_shapes.json").write_text(json.dumps(query_shapes()), encoding="utf-8")
-        (inputs / "chain12.json").write_text(json.dumps(qubit_chain(12)), encoding="utf-8")
-        files = [*inputs.glob("tests/data/*.json"), *inputs.glob("examples/*.json")]
+        for name, data in generated().items():
+            (inputs / name).parent.mkdir(parents=True, exist_ok=True)
+            (inputs / name).write_bytes(data)
 
-        commands = corpus(sorted(str(p.relative_to(inputs)) for p in files))
+        commands = corpus()
         sides = (("rev", tmp / "rev" / "src"), ("tree", ROOT / "src"))
         differ = 0
         with ThreadPoolExecutor(len(sides)) as pool:

@@ -5,10 +5,11 @@ factors; every structural mismatch surfaces as :class:`LayoutError` instead of
 silent broadcasting.  All values are immutable after construction and every
 operation is a pure function, so concurrent reads need no coordination.
 Operators act on the factors they name by direct contraction (``_contract``);
-no identity-padded matrix is ever built.  What depends on layouts alone (a
-derived layout, a contraction's axis permutations) is computed once per
-type-exact structure key and kept in a bounded ``lru_cache`` of ``CACHE_SIZE``
-entries; a refusal raises before anything is stored, so it repeats on every call.
+no identity-padded matrix is ever built.  ``SubsystemLayout`` construction is the
+one check of a layout; ``_layout(factors)``, which makes every layout the build path
+derives, interns the constructed layout per type-exact factors in an ``lru_cache`` of
+``CACHE_SIZE`` entries, as ``_contract`` keeps its axis order per pair of layouts; a
+refusal raises before anything is stored, so it repeats on every call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, zip_longest
+from itertools import chain
 
 import numpy as np
 
@@ -59,15 +60,7 @@ class SubsystemLayout:
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        self._settle(self.factors, ())
-
-    def _derive(self, factors: tuple[tuple[str, int], ...]) -> "SubsystemLayout":
-        """The layout over ``factors``: this layout's, some resized, then new ones; only those are checked."""
-        return _derived(self.factors, factors, tuple(map(type, chain.from_iterable(factors))))
-
-    def _settle(self, factors, checked) -> "SubsystemLayout":
-        """Store ``factors``, each through ``_factor`` unless ``checked`` holds it at its place; no label twice."""
-        factors = tuple([old if new == old else _factor(new) for new, old in zip_longest(factors, checked)])
+        factors = tuple(map(_factor, self.factors))
         labels, dims = tuple(zip(*factors)) or ((), ())
         if len(set(labels)) != len(labels):
             raise LayoutError(f"duplicate subsystem labels: {list(labels)}")
@@ -76,7 +69,6 @@ class SubsystemLayout:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "dim", math.prod(dims))
-        return self
 
     @classmethod
     def of(cls, *factors: tuple[str, int]) -> "SubsystemLayout":
@@ -95,10 +87,14 @@ class SubsystemLayout:
         return self.factors[self.axis(label)][1]
 
 
+def _layout(factors: tuple[tuple[str, int], ...]) -> SubsystemLayout:
+    """The one interned ``SubsystemLayout(factors)``; the key is type-exact, as True == 1 and 2.0 == 2 hash alike."""
+    return _interned(factors, tuple(map(type, chain.from_iterable(factors))))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _derived(checked, factors, types) -> SubsystemLayout:
-    """One interned layout per key; ``types`` makes the key type-exact, as True == 1 and 2.0 == 2 hash alike."""
-    return object.__new__(SubsystemLayout)._settle(factors, checked)
+def _interned(factors, types) -> SubsystemLayout:
+    return SubsystemLayout(factors)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -217,18 +213,17 @@ class Operator:
 
 
 def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, state: StateVector) -> np.ndarray:
-    """Apply ``matrices`` (one matrix on ``op_layout``, or a stack whose axes trail the
-    result) to the factors of ``op_layout`` in ``state``, as a tensor over its layout."""
-    lead = matrices.ndim - 2
-    perm, inverse = _contract_plan(op_layout, state.layout, lead)
+    """Apply the stack ``matrices`` (n, d, d), each on ``op_layout``, to the factors of ``op_layout`` in ``state``,
+    as a tensor over its layout with the stack's axis last."""
+    perm, inverse = _contract_plan(op_layout, state.layout)
     moved = state.as_tensor().transpose(perm)
-    out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:lead] + moved.shape)
+    out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:1] + moved.shape)
     return out.transpose(inverse)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _contract_plan(op_layout: SubsystemLayout, layout: SubsystemLayout, lead: int) -> tuple[tuple, tuple]:
-    """``_contract``'s axis order, the operator's factors first, and the order that undoes it behind ``lead``."""
+def _contract_plan(op_layout: SubsystemLayout, layout: SubsystemLayout) -> tuple[tuple, tuple]:
+    """``_contract``'s axis order, the operator's factors first, and the order that undoes it behind the stack axis."""
     axes = []
     for label, dim in op_layout.factors:
         ax = layout.axis(label)
@@ -236,7 +231,7 @@ def _contract_plan(op_layout: SubsystemLayout, layout: SubsystemLayout, lead: in
             raise LayoutError(f"dimension mismatch for {label!r}: operator has {dim}, state has {layout.dims[ax]}")
         axes.append(ax)
     perm = (*axes, *(ax for ax in range(len(layout.dims)) if ax not in axes))
-    return perm, (*(lead + perm.index(ax) for ax in range(len(perm))), *range(lead))
+    return perm, (*(1 + perm.index(ax) for ax in range(len(perm))), 0)
 
 
 def _unitary(h: Operator, dt: float) -> np.ndarray:

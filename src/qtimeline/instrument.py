@@ -24,6 +24,7 @@ from .hilbert import (
     StateVector,
     SubsystemLayout,
     _contract,
+    _layout,
     _isometry_deviation,
     unit_vector,
 )
@@ -155,7 +156,7 @@ def apply_instrument(state: StateVector, det: DetectorModel) -> StateVector:
     isometry and preserves the norm.
     """
     # A state that already carries the record fails here, as a duplicate label.
-    layout = state.layout._derive(state.layout.factors + ((det.detector_label, len(det.kraus.outcomes)),))
+    layout = _layout(state.layout.factors + ((det.detector_label, len(det.kraus.outcomes)),))
     branches = _contract(det.kraus.matrices, det.kraus.target_layout, state)
     amplitudes = branches.reshape(-1)
     amplitudes.setflags(write=False)

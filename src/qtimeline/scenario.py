@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hilbert import Operator, StateVector, SubsystemLayout, _factor, normalized
+from .hilbert import Operator, StateVector, SubsystemLayout, _factor, _layout, normalized
 from .instrument import DetectorModel, KrausSet
 from .probability import OutcomeQuery
 from .timeline import EventSchedule, history_layout, start_time
@@ -232,7 +232,7 @@ def parse_scenario(data) -> Scenario:
     for i, raw in enumerate(raw_events):
         time, det = _parse_event(raw, layout, f"events[{i}]")
         with _at(f"events[{i}].detector"):
-            layout = layout._derive(layout.factors + ((det.detector_label, det.ancilla_dim),))
+            layout = _layout(layout.factors + ((det.detector_label, det.ancilla_dim),))
         events.append((time, det))
     with _at("events"):
         schedule = EventSchedule(tuple(events))

@@ -42,6 +42,7 @@ from .hilbert import (
     StateVector,
     SubsystemLayout,
     TOL_EQUALITY,
+    _layout,
     _unitary,
 )
 from .instrument import DetectorModel, apply_instrument
@@ -190,7 +191,7 @@ def history_layout(system: SubsystemLayout, schedule: EventSchedule) -> Subsyste
 @lru_cache(maxsize=CACHE_SIZE)
 def _history_layout(system: SubsystemLayout, events: tuple) -> SubsystemLayout:
     """``history_layout``'s verdict from its structure: (name, ancilla dimension, target factors) per event."""
-    full = system._derive(system.factors + tuple((name, dim) for name, dim, _ in events))
+    full = _layout(system.factors + tuple((name, dim) for name, dim, _ in events))
     present = dict(system.factors)
     targeted = set()
     for name, ancilla_dim, targets in events:
@@ -274,7 +275,7 @@ def build_history(
         targets = dict(det.kraus.target_layout.factors)
         factors = tuple((label, targets.get(label, dim)) for label, dim in stored.factors)
         if factors != stored.factors:  # a Kraus on a record needs its whole ancilla
-            state = _pad(amplitudes, stored, stored._derive(factors))
+            state = _pad(amplitudes, stored, _layout(factors))
         else:
             state = StateVector(stored, amplitudes)
         anchors.append(apply_instrument(state, det))

@@ -1,7 +1,7 @@
 """The layout-only caches of ``hilbert`` and ``timeline`` change no result.
 
 Four steps of the build path depend on layouts alone and are cached per
-structure key: ``hilbert._derived`` (``SubsystemLayout._derive``),
+structure key: ``hilbert._interned`` (``hilbert._layout``),
 ``hilbert._contract_plan``, ``timeline._history_layout`` and
 ``timeline._pad_plan``.  A build with every cache cleared and a build that
 reads them must give the same bits; a refusal must repeat, with its message,
@@ -18,7 +18,7 @@ from qtimeline.sampling import random_record_scenario, random_scenario, random_w
 from qtimeline.timeline import EventSchedule, build_history, state_at
 from qtimeline.wigner import WignerScenario, build as build_wigner
 
-CACHES = (hilbert._derived, hilbert._contract_plan, timeline._history_layout, timeline._pad_plan)
+CACHES = (hilbert._interned, hilbert._contract_plan, timeline._history_layout, timeline._pad_plan)
 
 
 def clear_caches():
@@ -87,7 +87,7 @@ def refusals():
     yield "unknown-target", LayoutError, lambda: build_history(psi0, 0.0, zero, EventSchedule(((1.0, on_x),)))
     many = EventSchedule(tuple((float(k), projective(f"M{k}", S)) for k in range(1, 26)))
     yield "over-limit", DomainError, lambda: build_history(psi0, 0.0, zero, many)
-    yield "duplicate-label", LayoutError, lambda: S._derive(S.factors + (("S", 3),))
+    yield "duplicate-label", LayoutError, lambda: hilbert._layout(S.factors + (("S", 3),))
     wide = StateVector(SubsystemLayout.of(("S", 3)), [1, 0, 0])
     yield "dimension-mismatch", LayoutError, lambda: _contract(np.eye(2), S, wide)
 

@@ -465,6 +465,13 @@ def test_console_entry_point_runs():
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
 
+def test_the_output_comparison_corpus_is_the_same_on_every_call():
+    from compare_outputs import corpus, generated
+
+    assert corpus() == corpus()
+    assert generated() == generated()
+
+
 def test_experiment_scripts_run(tmp_path):
     agreement = subprocess.run(
         [sys.executable, str(SCRIPTS / "oracle_agreement.py"), "--trials", "5", "--seed", "1"],

@@ -1,11 +1,15 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtimeline
+from qtimeline import hilbert, timeline
 from qtimeline.hilbert import (
     DomainError,
     LayoutError,
@@ -13,13 +17,16 @@ from qtimeline.hilbert import (
     StateVector,
     SubsystemLayout,
     _contract,
+    _layout,
     _unitary,
     normalized,
     propagator,
 )
 from qtimeline.instrument import KrausSet
 from qtimeline.sampling import random_hermitian, random_wide_scenario
+from qtimeline.scenario import Scenario, parse_scenario, scenario_to_data
 from qtimeline.timeline import HistoryState, build_history
+from qtimeline.wigner import WignerScenario, build as build_wigner
 
 from helpers import expm_series
 from reference import basis_state, completeness_deviation, edge_vectors, embed, tensor
@@ -38,9 +45,10 @@ def test_layout_rejects_duplicates_and_bad_dims():
         SubsystemLayout.of(("S", 0))
 
 
-# A derived layout keeps the checked layout's factors and checks only what it adds or
-# resizes; it must be the layout the public constructor makes from the same factors.
-# A dimension is a Python or numpy integer: np.int64 is taken as an int, 2.5, "2" or a bool refused.
+# Every layout the build path derives is ``_layout(factors)``, the constructor's layout interned: it must be
+# the layout the public constructor makes from the same factors, and refuse what it refuses, however the factors
+# relate to a layout built before.  A dimension is a Python or numpy integer: np.int64 is taken as an int,
+# 2.5, "2" or a bool refused.
 CHECKED = SubsystemLayout.of(("S", 2), ("Q", 3), ("D1", 2))
 
 
@@ -56,7 +64,7 @@ CHECKED = SubsystemLayout.of(("S", 2), ("Q", 3), ("D1", 2))
     ids=["unchanged", "appended", "several-appended", "resized", "resized-and-appended"],
 )
 def test_a_derived_layout_is_the_constructed_one(factors):
-    derived, built = CHECKED._derive(factors), SubsystemLayout(factors)
+    derived, built = _layout(factors), SubsystemLayout(factors)
     assert derived.factors == built.factors and derived.labels == built.labels
     assert derived.dims == built.dims and derived.dim == built.dim
     assert derived == built and hash(derived) == hash(built) and repr(derived) == repr(built)
@@ -73,37 +81,104 @@ def test_a_derived_layout_is_the_constructed_one(factors):
         (CHECKED.factors + (("D2", 0),), r"^every subsystem dimension must be >= 1$"),
         (CHECKED.factors + (("D2", True),), r"^dimension True of subsystem 'D2' is not an integer$"),
         ((("S", np.bool_(True)), ("Q", 3), ("D1", 2)), r"^dimension (np\.)?True_? of subsystem 'S' is not an integer$"),
+        # in-place twins: each equals, and hashes as, the int factor at its place in CHECKED or in (("X", 1),)
+        ((("S", 2), ("Q", 3), ("D1", 2.0)), r"^dimension 2.0 of subsystem 'D1' is not an integer$"),
+        ((("X", True),), r"^dimension True of subsystem 'X' is not an integer$"),
+        ((("X", np.True_),), r"^dimension (np\.)?True_? of subsystem 'X' is not an integer$"),
     ],
-    ids=["duplicate", "float-appended", "string-resized", "zero-appended", "bool-appended", "numpy-bool-resized"],
+    ids=["duplicate", "float-appended", "string-resized", "zero-appended", "bool-appended", "numpy-bool-resized",
+         "float-in-place", "bool-in-place", "numpy-bool-in-place"],
 )
 def test_a_derived_layout_refuses_what_the_constructor_refuses(factors, message):
-    for make in (SubsystemLayout, CHECKED._derive):
+    for make in (SubsystemLayout, _layout):
         with pytest.raises(LayoutError, match=message):
             make(factors)
 
 
-# ``_derive`` caches its layouts; True == 1, np.True_ == 1 and 2.0 == 2 with equal hashes, so a key on the raw
+# ``_layout`` caches its layouts; True == 1, np.True_ == 1 and 2.0 == 2 with equal hashes, so a key on the raw
 # factors would hand back the int twin's layout and skip the refusal.
-@pytest.mark.parametrize("position", ["appended", "resized"])
+POSITIONS = {  # the refused dimension's factor: after CHECKED's, in place of its last, at its own place, alone
+    "appended": lambda d: CHECKED.factors + (("D2", d),),
+    "resized": lambda d: (("S", 2), ("Q", 3), ("D2", d)),
+    "in-place": lambda d: (("S", 2), ("Q", 3), ("D1", d)),
+    "alone": lambda d: (("X", d),),
+}
+
+
+@pytest.mark.parametrize("position", list(POSITIONS))
 @pytest.mark.parametrize(
     "twin, dim, shown",
     [(1, True, "True"), (1, np.bool_(True), r"(np\.)?True_?"), (2, 2.0, "2.0"), (2, 2.5, "2.5"), (2, "2", "'2'")],
     ids=["bool", "numpy-bool", "float-2.0", "float-2.5", "string"],
 )
 def test_a_cached_int_twin_lets_no_refused_dimension_through(position, twin, dim, shown):
-    def factors(d):
-        return CHECKED.factors + (("D2", d),) if position == "appended" else (("S", 2), ("Q", 3), ("D2", d))
-
-    assert CHECKED._derive(factors(twin)) == SubsystemLayout(factors(twin))
+    factors = POSITIONS[position]
+    label = factors(dim)[-1][0]
+    assert _layout(factors(twin)) == SubsystemLayout(factors(twin))
     for _ in range(2):
-        for make in (CHECKED._derive, SubsystemLayout):
-            with pytest.raises(LayoutError, match=rf"^dimension {shown} of subsystem 'D2' is not an integer$"):
+        for make in (_layout, SubsystemLayout):
+            with pytest.raises(LayoutError, match=rf"^dimension {shown} of subsystem '{label}' is not an integer$"):
                 make(factors(dim))
 
 
 def test_a_cached_label_keeps_its_own_text():
-    assert CHECKED._derive(CHECKED.factors + ((1, 2),)).labels[-1] == "1"
-    assert CHECKED._derive(CHECKED.factors + ((True, 2),)).labels[-1] == "True"
+    assert _layout(CHECKED.factors + ((1, 2),)).labels[-1] == "1"
+    assert _layout(CHECKED.factors + ((True, 2),)).labels[-1] == "True"
+
+
+def clear_layout_caches():
+    for cache in (hilbert._interned, hilbert._contract_plan, timeline._history_layout, timeline._pad_plan):
+        cache.cache_clear()
+
+
+def scenario_data(source):
+    if source == "wigner":  # Wigner's Kraus widens the friend's record to the layout the parser grows first
+        wigner = WignerScenario(0.6, 0.8j, 0.8, 0.6)
+        return scenario_to_data(Scenario(wigner.psi0, 0.0, Operator(wigner.psi0.layout, np.zeros((2, 2))),
+                                         wigner.schedule, ()))
+    return json.loads((Path(__file__).resolve().parent.parent / source).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("first", ["parse", "build"])
+@pytest.mark.parametrize("source", ["wigner", "tests/data/two_factor_wigner.json", "examples/frauchiger_renner.json"])
+def test_equal_factors_give_one_layout_whichever_call_site_asks_first(monkeypatch, first, source):
+    data = scenario_data(source)
+    handed = []  # (call site, layout) for every layout a call site reads from ``_layout``
+    for module in (qtimeline.instrument, qtimeline.timeline, qtimeline.scenario):
+        site = module.__name__
+        monkeypatch.setattr(module, "_layout", lambda factors, site=site: handed.append((site, _layout(factors)))
+                            or handed[-1][1])
+    clear_layout_caches()
+    sample = parse_scenario(data)
+    if first == "build":
+        clear_layout_caches()
+        handed.clear()
+    build_history(sample.psi0, sample.t0, sample.h_system, sample.schedule)
+    parse_scenario(data)
+    by_factors = {}
+    for site, layout in handed:
+        by_factors.setdefault(layout.factors, []).append((site, layout))
+    shared = [pairs for pairs in by_factors.values() if len({site for site, _ in pairs}) > 1]
+    assert shared  # some factors are asked for by two call sites
+    for factors, pairs in by_factors.items():
+        assert all(layout is _layout(factors) for _, layout in pairs), factors
+
+
+def test_a_cold_wigner_build_checks_each_factor_of_each_new_layout_once_and_a_warm_one_none(monkeypatch):
+    scenario = WignerScenario(0.6, 0.8j, 0.8, 0.6)
+    clear_layout_caches()
+    checked, built = [], []
+    factor, post_init = hilbert._factor, SubsystemLayout.__post_init__
+    monkeypatch.setattr(hilbert, "_factor", lambda f: checked.append(f) or factor(f))
+    monkeypatch.setattr(SubsystemLayout, "__post_init__", lambda self: built.append(self.factors) or post_init(self))
+    build_wigner(scenario)
+    # the full layout, the friend's anchor, its record widened for Wigner's Kraus, and Wigner's anchor
+    assert built == [(("S", 2), ("F", 3), ("W", 3)), (("S", 2), ("F", 2)), (("S", 2), ("F", 3)),
+                     (("S", 2), ("F", 3), ("W", 2))]
+    assert checked == [f for factors in built for f in factors]
+    checked.clear(), built.clear()
+    build_wigner(scenario)
+    assert checked == [] and built == []
 
 
 @pytest.mark.parametrize("lookup", [CHECKED.axis, CHECKED.dim_of], ids=["axis", "dim_of"])
@@ -257,8 +332,8 @@ def test_contract_agrees_with_embed(seed):
     op = Operator(op_lay, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     state = StateVector(full, rng.normal(size=12) + 1j * rng.normal(size=12))
     via_embed = embed(op, op_lay.labels, full).apply(state)
-    via_axes = _contract(op.matrix, op_lay, state)
-    np.testing.assert_allclose(via_axes.reshape(-1), via_embed.amplitudes, atol=1e-12)
+    via_axes = _contract(op.matrix[None], op_lay, state)  # a stack of one, its axis last
+    np.testing.assert_allclose(via_axes[..., 0].reshape(-1), via_embed.amplitudes, atol=1e-12)
 
 
 def test_propagator_zero_hamiltonian_is_identity():
