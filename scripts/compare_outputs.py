@@ -3,8 +3,9 @@
 
     python3 scripts/compare_outputs.py REV
 
-REV's ``src/`` is exported with ``git archive`` into a temporary directory, so the
-repository's own ``.git`` is left as it was.  The inputs come from the working tree:
+It runs from a source checkout, with no install: the working tree's ``src/`` goes first on
+``sys.path``.  REV's ``src/`` is exported with ``git archive`` into a temporary directory,
+so the repository's own ``.git`` is left as it was.  The inputs come from the working tree:
 ``tests/data/*.json``, ``examples/*.json`` and the files ``generated()`` writes with the
 working tree's samplers and canonical form (a query-shape variant of
 ``two_factor_wigner.json``, a 12-detector qubit chain, seeded sampler files and refusal
@@ -28,12 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # the working tree's package, installed or not
+
 from qtimeline.sampling import random_record_scenario, random_scenario, random_wide_scenario
 from qtimeline.scenario import scenario_to_data
-
-ROOT = Path(__file__).resolve().parent.parent
 ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}  # stdout cannot encode a non-ASCII label
 TWO = "tests/data/two_factor_wigner.json"
+FR_CHAIN = ("Fbar=t|F=up@t=2.5", "F=up|Wbar=yes@t=3.5", "Fbar=t|F=up@t=3.5", "W=no|Fbar=t@t=5", "Wbar=yes@t=5")
 PAIRS = (  # (a, b, alpha, beta): the default pair, a complex one, and a basis pair whose conditionals are undefined
     ("0.7071067811865476", "0.7071067811865476", "1", "0"),
     ("0.6", "0,0.8", "0.8", "0,0.6"),
@@ -147,6 +150,7 @@ def corpus() -> list[tuple[dict, list[str]]]:
         ({}, ["simulate", "tests/data/unit_norm_edge.json"]),
         (ASCII, ["simulate", "tests/data/non_ascii_label.json"]),
         ({}, ["simulate", "examples/frauchiger_renner.json"]),
+        ({}, ["simulate", "examples/frauchiger_renner.json", *(arg for spec in FR_CHAIN for arg in ("--query", spec))]),
     ]
     files = generated()
     committed = (*ROOT.glob("tests/data/*.json"), *ROOT.glob("examples/*.json"))

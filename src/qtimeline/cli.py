@@ -13,11 +13,8 @@ import itertools
 import os
 import sys
 
-import numpy as np
-
 from .hilbert import DomainError
-from .probability import (ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable, conditional, full_table,
-                          joint, marginal)
+from .probability import ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable, full_table, query_table
 from .scenario import ScenarioError, dump_scenario, load_scenario, parse_query_string
 from .timeline import HistoryState, build_history
 from .wigner import WignerScenario, tables, unit_pair
@@ -32,21 +29,13 @@ def _fmt(value: float, digits: int) -> str:
 
 
 def _answer(history: HistoryState, query: OutcomeQuery) -> tuple[str, ProbabilityTable]:
-    """The query's kind and its answer as a table: a full table is the segment's own; any other
-    query is one cell over the detectors it names, in schedule order, ``given`` the conditioned ones."""
+    """The query's kind and its answer: a full table is the segment's own; any other query is its ``query_table``
+    summed to one cell over the detectors it names, in schedule order, ``given`` the conditioned ones."""
     if query.given is None and not query.assignments:
         return "joint", full_table(history, query.t)
-    if query.given is not None:
-        kind, value = "conditional", conditional(history, query.assignments, query.given, query.t)
-    elif set(query.assignments) == set(history.schedule.detector_labels):
-        kind, value = "joint", joint(history, query)
-    else:
-        kind, value = "marginal", marginal(history, query)
     named = {**query.assignments, **(query.given or {})}
-    detectors = tuple(d for d in history.schedule.detector_labels if d in named)
-    given = tuple(d for d in detectors if d not in query.assignments)
-    cell = np.full([1] * len(detectors), value)
-    return kind, ProbabilityTable(detectors, tuple((named[d],) for d in detectors), cell, given)
+    kind = "conditional" if query.given is not None else "joint" if len(named) == len(history.schedule) else "marginal"
+    return kind, query_table(history, query).marginal(named)
 
 
 def _rows(t: float, kind: str, table: ProbabilityTable):

@@ -123,9 +123,7 @@ class StateVector:
         if arr.ndim != 1:
             raise LayoutError(f"amplitudes must be a flat vector, got shape {arr.shape}")
         if arr.size != self.layout.dim:
-            raise LayoutError(
-                f"amplitude length {arr.size} does not match layout dimension {self.layout.dim}"
-            )
+            raise LayoutError(f"amplitude length {arr.size} does not match layout dimension {self.layout.dim}")
         object.__setattr__(self, "amplitudes", arr)
 
     @property

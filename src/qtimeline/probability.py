@@ -6,19 +6,18 @@ same anywhere in a segment: the segment anchor's |amplitude|^2 summed over the
 system axes.  That labelled record-weight array is the single primitive: the
 history forms it once per anchor, on first read, as a ``ProbabilityTable`` with
 one axis per scheduled detector, and checks it then (``HistoryState.records``).
-A full table is that very table; a joint probability reads one entry, a
-marginal sums over the unnamed detectors, and a conditional is the Bayes
-quotient of two such sums.  Records are read by label alone, through one
-label-to-index step; a label an axis does not list (an outcome of a detector
-that has not fired, say) weighs 0.  Absolute probabilities marginalized over
-the clock are deliberately not offered."""
+A full table is that very table, and every other answer is a table derived
+from it (``query_table``): ``select`` cuts axes to assigned labels (a label an
+axis does not list weighs 0), ``marginal`` sums the unnamed axes away and
+``conditioned`` divides by a marginal, the Bayes quotient.  Absolute
+probabilities marginalized over the clock are deliberately not offered."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping
 
 import numpy as np
 
@@ -66,6 +65,10 @@ class ProbabilityTable:
     ``given`` names the detectors conditioned on rather than jointly measured;
     when it is empty the weights of a full table sum to one.  ``rows`` pairs
     each ``itertools.product(*labels)`` key with its weight, built per read: a history keeps its tables.
+
+    ``select``, ``marginal`` and ``conditioned`` derive tables.  Cuts, sums, and quotients by weights of at least
+    NULL_EVENT_TOL, of cells all >= 0 stay finite, >= 0 and (a quotient) <= 1, so a table derived from such cells
+    (a history's) holds its new array unchecked and uncopied; one from a table with a cell below 0 is checked.
     """
 
     detectors: tuple[str, ...]
@@ -78,22 +81,78 @@ class ProbabilityTable:
         object.__setattr__(self, "weights", weights)
         if weights.shape != tuple(map(len, self.labels)) or len(self.detectors) != weights.ndim:
             raise DomainError(f"weights of shape {weights.shape} do not fit the labels {self.labels}")
-        if not (weights.min(initial=0.0) >= -TOL_EQUALITY and weights.max(initial=0.0) < math.inf):  # NaN fails both
+        low = weights.min(initial=0.0)
+        if not (low >= -TOL_EQUALITY and weights.max(initial=0.0) < math.inf):  # NaN fails both
             bad = ~np.isfinite(weights) | (weights < -TOL_EQUALITY)
             cell = np.unravel_index(bad.argmax(), weights.shape)  # the first in row order
             value, key = float(weights[cell]), tuple(axis[i] for axis, i in zip(self.labels, cell))
             kind = "negative" if math.isfinite(value) else "non-finite"
             raise DomainError(f"{kind} probability {value} for {key}")
+        object.__setattr__(self, "_negative", low < 0)  # so its derived tables are checked too
 
     def value(self, assignment: Mapping[str, str]) -> float:
-        if extra := assignment.keys() - self.detectors:
-            raise KeyError(f"no detector {sorted(extra)} in table over {self.detectors}")
+        self._known(assignment)
         if missing := set(self.detectors) - assignment.keys():
             raise KeyError(f"value requires a full assignment; missing {sorted(missing)}")
         key = tuple(assignment[d] for d in self.detectors)
-        if (index := _index(self.labels, key)) is None:
+        if None in (index := tuple(map(_slot, self.labels, key))):
             raise KeyError(f"no row {key} in table over {self.detectors}")
-        return float(self.weights[index])
+        return self.weights[index].item()
+
+    def select(self, assignment: Mapping[str, str]) -> ProbabilityTable:
+        """Each named axis cut to its assigned label, the others whole; a label the axis does not list weighs 0."""
+        self._known(assignment)
+        labels, index = list(self.labels), [slice(None)] * len(self.labels)
+        for name, label in assignment.items():
+            axis = self.detectors.index(name)
+            labels[axis], index[axis] = (label,), _slot(self.labels[axis], label)
+        weights = np.zeros([len(axis) for axis in labels]) if None in index else self.weights[tuple(index)]
+        return self._derived(self.detectors, tuple(labels), weights, self.given)
+
+    def marginal(self, names: Collection[str]) -> ProbabilityTable:
+        """This table summed over every axis ``names`` does not name, axes in this table's order; itself if none."""
+        self._known(names)
+        if not (summed := tuple(i for i, d in enumerate(self.detectors) if d not in names)):
+            return self
+        kept = [d in names for d in self.detectors]
+        detectors, labels = (tuple(itertools.compress(axes, kept)) for axes in (self.detectors, self.labels))
+        given = tuple(d for d in self.given if d in names)
+        return self._derived(detectors, labels, self.weights.sum(axis=summed), given)
+
+    def conditioned(self, names: Collection[str], t: float) -> ProbabilityTable:
+        """This table over its marginal of ``names``, marked given; refused at the first null label a row loop meets."""
+        return self._conditioned(t, names)[0][1]
+
+    def _conditioned(self, t: float, *groups: Collection[str]) -> list[tuple[ProbabilityTable, ProbabilityTable]]:
+        """(marginal, conditioned table) per group of names.  All groups are judged before any quotient is formed,
+        in one row loop over this table, group by group within a row."""
+        shape, margins = self.weights.shape, [self.marginal(names) for names in groups]
+        spread = [m.weights.reshape([n if d in names else 1 for d, n in zip(self.detectors, shape)])
+                  for names, m in zip(groups, margins)]  # each marginal on this table's axes, to broadcast
+        if any(m.weights.min(initial=math.inf) < NULL_EVENT_TOL for m in margins):
+            cells = [np.broadcast_to(w, shape) for w in spread]
+            if (met := np.any([w < NULL_EVENT_TOL for w in cells], axis=0)).any():  # a zero-width axis leaves no row
+                cell = np.unravel_index(met.argmax(), shape)
+                names, w = next((names, w) for names, w in zip(groups, cells) if w[cell] < NULL_EVENT_TOL)
+                labels = {d: axis[i] for d, axis, i in zip(self.detectors, self.labels, cell)}
+                raise ConditioningOnNullEvent(f"conditioning assignment { {d: labels[d] for d in names} } "
+                                              f"has probability {w[cell]:.3e} at t={t}")
+        marked = [tuple(d for d in self.detectors if d in names or d in self.given) for names in groups]
+        return [(m, self._derived(self.detectors, self.labels, self.weights / w, given))
+                for m, w, given in zip(margins, spread, marked)]
+
+    def _known(self, names: Collection[str]) -> None:
+        if extra := set(names).difference(self.detectors):
+            raise KeyError(f"no detector {sorted(extra)} in table over {self.detectors}")
+
+    def _derived(self, detectors, labels, weights, given) -> ProbabilityTable:
+        """A table of cells derived from this one's: unchecked, unless one of this one's is below 0."""
+        (weights := np.asarray(weights)).setflags(write=False)  # new, or a view of read-only cells: held as it is
+        if self._negative:
+            return ProbabilityTable(detectors, labels, weights, given)
+        table = object.__new__(ProbabilityTable)
+        table.__dict__.update(detectors=detectors, labels=labels, weights=weights, given=given, _negative=False)
+        return table
 
     @property
     def total(self) -> float:
@@ -107,36 +166,27 @@ class ProbabilityTable:
         return dict(self.rows)
 
 
-def _index(labels: tuple[tuple[str, ...], ...], key) -> tuple | None:
-    """Index of ``key`` on axes listing ``labels`` (None takes a whole axis); None for an unlisted label."""
-    try:
-        return tuple(slice(None) if label is None else axis.index(label) for axis, label in zip(labels, key))
-    except ValueError:
-        return None
+def _slot(labels: tuple[str, ...], label: str) -> slice | None:
+    """The slice holding ``label`` on an axis that lists ``labels``; None when it does not list it."""
+    return slice(i := labels.index(label), i + 1) if label in labels else None
 
 
-def _weight(history: HistoryState, k: int, assignments: Mapping[str, str]) -> float:
-    """Weight of the records of anchor ``k`` that match ``assignments``; unnamed detectors are summed."""
-    history.schedule.check(assignments)
-    records = history.records(k)
-    index = _index(records.labels, map(assignments.get, records.detectors))
-    return 0.0 if index is None else float(records.weights[index].sum())
-
-
-def _nonnull(weight: float, given: Mapping[str, str], t: float) -> float:
-    """The weight of a conditioning assignment, refused when it is (numerically) null."""
-    if weight < NULL_EVENT_TOL:
-        raise ConditioningOnNullEvent(
-            f"conditioning assignment {dict(given)} has probability {weight:.3e} at t={t}"
-        )
-    return weight
+def query_table(history: HistoryState, query: OutcomeQuery) -> ProbabilityTable:
+    """The query's answer as a table derived from the segment's at ``query.t``: conditioned on ``query.given``
+    when it has one, then cut to ``query.assignments``; its total is the query's probability."""
+    table = full_table(history, query.t)
+    if query.given is not None:
+        history.schedule.check(query.given)
+        table = table.select(query.given).conditioned(query.given, query.t)
+    history.schedule.check(query.assignments)
+    return table.select(query.assignments)
 
 
 def _unconditioned(history: HistoryState, query: OutcomeQuery, name: str) -> float:
     """The weight of ``query.assignments`` at ``query.t``; a query with ``given`` is refused, not half-read."""
     if query.given is not None:
         raise DomainError(f"{name} reads no 'given'; ask conditional for P(assignments | given)")
-    return _weight(history, history.segment_at(query.t), query.assignments)
+    return query_table(history, query).total
 
 
 def joint(history: HistoryState, query: OutcomeQuery) -> float:
@@ -154,17 +204,9 @@ def marginal(history: HistoryState, query: OutcomeQuery) -> float:
     return _unconditioned(history, query, "marginal")
 
 
-def conditional(
-    history: HistoryState,
-    target: Mapping[str, str],
-    given: Mapping[str, str],
-    t: float,
-) -> float:
+def conditional(history: HistoryState, target: Mapping[str, str], given: Mapping[str, str], t: float) -> float:
     """Bayes quotient P(target and given at t) / P(given at t)."""
-    query = OutcomeQuery(target, t, given)
-    k = history.segment_at(t)
-    denominator = _nonnull(_weight(history, k, query.given), query.given, t)
-    return _weight(history, k, {**query.assignments, **query.given}) / denominator
+    return query_table(history, OutcomeQuery(target, t, given)).total
 
 
 def outcome_labels_at(history: HistoryState, t: float) -> dict[str, tuple[str, ...]]:

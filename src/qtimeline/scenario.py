@@ -243,9 +243,7 @@ def parse_scenario(data) -> Scenario:
     raw_queries = data.get("queries", [])
     if not isinstance(raw_queries, list):
         raise ScenarioError("queries", "expected a list")
-    queries = tuple(
-        _parse_query(raw, schedule, f"queries[{i}]") for i, raw in enumerate(raw_queries)
-    )
+    queries = tuple(_parse_query(raw, schedule, f"queries[{i}]") for i, raw in enumerate(raw_queries))
     return Scenario(psi0, t0, h_system, schedule, queries)
 
 
@@ -331,11 +329,7 @@ def parse_query_string(text: str, schedule: EventSchedule) -> OutcomeQuery:
         data = {"t": t, "full_table": True}
     elif "|" in body:
         target_part, _, given_part = body.partition("|")
-        data = {
-            "t": t,
-            "target": parse_pairs(target_part, "target"),
-            "given": parse_pairs(given_part, "given"),
-        }
+        data = {"t": t, "target": parse_pairs(target_part, "target"), "given": parse_pairs(given_part, "given")}
     else:
         data = {"t": t, "assignment": parse_pairs(body, "assignment")}
     return _parse_query(data, schedule, key)

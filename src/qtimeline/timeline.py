@@ -197,18 +197,14 @@ def _history_layout(system: SubsystemLayout, events: tuple) -> SubsystemLayout:
     for name, ancilla_dim, targets in events:
         for label, dim in targets:
             if present.get(label) != dim:
-                raise LayoutError(
-                    f"detector {name!r} acts on factor ({label!r}, {dim}), which is neither "
-                    f"a system factor nor the record of a detector fired before it"
-                )
+                raise LayoutError(f"detector {name!r} acts on factor ({label!r}, {dim}), which is neither "
+                                  f"a system factor nor the record of a detector fired before it")
         present[name] = ancilla_dim
         targeted.update(label for label, _ in targets)
     stored = system.dim * math.prod(dim - (name not in targeted) for name, dim, _ in events)
     if stored > MAX_DENSE_DIM:
-        raise DomainError(
-            f"last anchor of {stored} amplitudes (system and stored records) exceeds the limit of "
-            f"{MAX_DENSE_DIM} amplitudes"
-        )
+        raise DomainError(f"last anchor of {stored} amplitudes (system and stored records) exceeds the limit of "
+                          f"{MAX_DENSE_DIM} amplitudes")
     return full
 
 
@@ -243,12 +239,7 @@ def _evolve(h: Operator, state: StateVector, t: float, t_from: float) -> np.ndar
     return amplitudes
 
 
-def build_history(
-    psi0: StateVector,
-    t0: float | None,
-    h_system: Operator,
-    schedule: EventSchedule,
-) -> HistoryState:
+def build_history(psi0: StateVector, t0: float | None, h_system: Operator, schedule: EventSchedule) -> HistoryState:
     """Assemble the piecewise history of a schedule of measurements.
 
     Anchor 0 is ``psi0`` at ``t0``, as ``start_time`` judges it: no detector
@@ -293,9 +284,8 @@ def state_at(history: HistoryState, t: float) -> StateVector:
     raises :class:`DomainError` before anything is allocated.
     """
     if history.layout.dim > MAX_DENSE_DIM:
-        raise DomainError(
-            f"full layout of {history.layout.dim} amplitudes exceeds the limit of {MAX_DENSE_DIM} amplitudes"
-        )
+        raise DomainError(f"full layout of {history.layout.dim} amplitudes exceeds the limit of "
+                          f"{MAX_DENSE_DIM} amplitudes")
     k = history.segment_at(t)
     anchor = history.anchors[k]
     return _pad(_evolve(history.h_system, anchor, t, history.anchor_time(k)), anchor.layout, history.layout)

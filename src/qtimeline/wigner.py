@@ -4,8 +4,8 @@ A friend F measures a qubit S in state a|up> + b|down> projectively; Wigner W
 later asks whether S (x) F is in alpha|up,up> + beta|down,down>, a yes/no
 ``instrument.state_test``, so the friend's record is itself a quantum degree
 of freedom for Wigner.  The scenario is parameterized by these amplitudes and
-the two event times.  Its five tables are one labelled weight array, the full
-table over (F, W), with its two axis sums and two broadcast quotients.
+the two event times.  Its five tables are the full table over (F, W) and the
+two marginals and two conditionals that ``ProbabilityTable`` derives from it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .hilbert import DomainError, Operator, StateVector, SubsystemLayout, normalized, unit_vector
 from .instrument import DetectorModel, KrausSet, state_test
-from .probability import ProbabilityTable, _nonnull, full_table
+from .probability import ProbabilityTable, full_table
 from .timeline import EventSchedule, HistoryState, build_history
 
 SYSTEM = "S"
@@ -109,25 +109,9 @@ class WignerTables:
 
 
 def tables(scenario: WignerScenario, t: float) -> WignerTables:
-    """The five probability grids of the scenario at clock reading ``t``.
-
-    All five come from one full table: the marginals are sums over its other
-    axis, and the conditionals divide it by the marginal of the given label.
-    Each given label is checked once, where a row loop over (f, w) first meets it.
-    """
+    """The five probability grids of the scenario at clock reading ``t``: the segment's full table over (F, W), its
+    marginals and its conditionals.  Both given marginals are judged before either quotient is formed, so the null
+    label refused is the first that a row loop over (f, w) meets, F before W in a row."""
     joint = full_table(build(scenario), t)
-    (f_labels, w_labels), weights = joint.labels, joint.weights
-    p_f, p_w = weights.sum(axis=1), weights.sum(axis=0)
-    for det, names, p in ((FRIEND, f_labels[:1], p_f), (WIGNER, w_labels, p_w), (FRIEND, f_labels[1:], p_f[1:])):
-        for label, weight in zip(names, p):
-            _nonnull(weight, {det: label}, t)
-    w_given_f, f_given_w = weights / p_f[:, None], weights / p_w
-    for arr in (p_f, p_w, w_given_f, f_given_w):
-        arr.setflags(write=False)  # made here, so the tables hold them without a copy
-    return WignerTables(
-        joint=joint,
-        marginal_w=ProbabilityTable((WIGNER,), (w_labels,), p_w),
-        marginal_f=ProbabilityTable((FRIEND,), (f_labels,), p_f),
-        cond_w_given_f=ProbabilityTable(joint.detectors, joint.labels, w_given_f, given=(FRIEND,)),
-        cond_f_given_w=ProbabilityTable(joint.detectors, joint.labels, f_given_w, given=(WIGNER,)),
-    )
+    (marginal_f, w_given_f), (marginal_w, f_given_w) = joint._conditioned(t, (FRIEND,), (WIGNER,))
+    return WignerTables(joint, marginal_w, marginal_f, w_given_f, f_given_w)

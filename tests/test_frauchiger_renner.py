@@ -175,3 +175,13 @@ def test_simulating_the_example_prints_the_golden_output(capsys):
     assert main(["simulate", str(PATH)]) == 0
     out, err = capsys.readouterr()
     assert err == "" and out.encode() == (DATA / "frauchiger_renner.out").read_bytes()
+
+
+CHAIN = ("Fbar=t|F=up@t=2.5", "F=up|Wbar=yes@t=3.5", "Fbar=t|F=up@t=3.5", "W=no|Fbar=t@t=5", "Wbar=yes@t=5")
+
+
+def test_the_chain_of_conditionals_prints_the_golden_output(capsys):
+    # Four links of the chain and the marginal of Wbar's yes, each printed as one cell: the golden pins each digit.
+    assert main(["simulate", str(PATH), *(arg for spec in CHAIN for arg in ("--query", spec))]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.encode() == (DATA / "frauchiger_renner_chain.out").read_bytes()

@@ -10,7 +10,7 @@ import qtimeline.timeline
 import qtimeline.wigner
 from qtimeline.hilbert import TOL_EQUALITY, DomainError, Operator, SubsystemLayout, normalized
 from qtimeline.instrument import validate
-from qtimeline.probability import ConditioningOnNullEvent, full_table
+from qtimeline.probability import ConditioningOnNullEvent, ProbabilityTable, full_table
 from qtimeline.timeline import ScheduleError, state_at
 from qtimeline.wigner import (
     FRIEND,
@@ -259,25 +259,32 @@ def test_value_refuses_a_detector_the_table_does_not_have():
         result.marginal_w.value({WIGNER: "yes", FRIEND: "down"})
 
 
-def test_tables_wrap_the_arrays_they_make_without_a_copy(monkeypatch):
-    frozen, seen = qtimeline.probability._frozen, []
+def test_tables_check_only_the_segment_table_and_hold_each_derived_array_without_a_copy(monkeypatch):
+    checks, made = [], []
+    post_init, derived = ProbabilityTable.__post_init__, ProbabilityTable._derived
 
-    def spy(values, dtype):
-        seen.append((values, frozen(values, dtype)))
-        return seen[-1][1]
+    def spy(self, detectors, labels, weights, given):
+        made.append((weights, derived(self, detectors, labels, weights, given)))
+        return made[-1][1]
 
-    monkeypatch.setattr(qtimeline.probability, "_frozen", spy)
-    tables(WignerScenario(0.6, 0.8, 0.8, 0.6), 3.0)
-    assert len(seen) == 5
-    assert all(out is values for values, out in seen)
+    monkeypatch.setattr(ProbabilityTable, "__post_init__", lambda self: checks.append(self) or post_init(self))
+    monkeypatch.setattr(ProbabilityTable, "_derived", spy)
+    result = tables(WignerScenario(0.6, 0.8, 0.8, 0.6), 3.0)  # a fresh history: its segment table is new
+    assert checks == [result.joint]
+    assert [table for _, table in made] == [result.marginal_f, result.marginal_w,
+                                             result.cond_w_given_f, result.cond_f_given_w]
+    assert all(table.weights is weights and not weights.flags.writeable for weights, table in made)
 
 
-def test_tables_check_each_given_label_once(monkeypatch):
-    calls = []
-    nonnull = qtimeline.wigner._nonnull
-    monkeypatch.setattr(qtimeline.wigner, "_nonnull", lambda *args: calls.append(args[1]) or nonnull(*args))
-    tables(WignerScenario(0.6, 0.8, 0.8, 0.6), 3.0)
-    assert calls == [{FRIEND: "up"}, {WIGNER: "yes"}, {WIGNER: "no"}, {FRIEND: "down"}]
+def test_tables_judge_each_given_label_once_in_row_order(monkeypatch):
+    judged = []
+    real = ProbabilityTable.marginal
+    monkeypatch.setattr(ProbabilityTable, "marginal", lambda self, names: judged.append(names) or real(self, names))
+    result = tables(WignerScenario(0.6, 0.8, 0.8, 0.6), 3.0)
+    # One marginal per given detector, in (f, w) order: the judge reads each given label's weight from it once,
+    # and which null label it reports first is pinned by the next test.
+    assert judged == [(FRIEND,), (WIGNER,)]
+    assert result.marginal_f.labels == (("up", "down"),) and result.marginal_w.labels == (("yes", "no"),)
 
 
 def test_building_the_history_checks_no_layout_again_and_enters_no_errstate(monkeypatch):
