@@ -37,6 +37,7 @@ from qtimeline.scenario import scenario_to_data
 ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}  # stdout cannot encode a non-ASCII label
 TWO = "tests/data/two_factor_wigner.json"
 FR_CHAIN = ("Fbar=t|F=up@t=2.5", "F=up|Wbar=yes@t=3.5", "Fbar=t|F=up@t=3.5", "W=no|Fbar=t@t=5", "Wbar=yes@t=5")
+SCALAR_QUERIES = ("D1=o1,D2=o2,D3=o0@t=4", "D2=o1@t=2.5", "D2=o0|D1=o2@t=2.5", "D3=o2|D1=r@t=4", "D3=o0@t=2.5")
 PAIRS = (  # (a, b, alpha, beta): the default pair, a complex one, and a basis pair whose conditionals are undefined
     ("0.7071067811865476", "0.7071067811865476", "1", "0"),
     ("0.6", "0,0.8", "0.8", "0,0.6"),
@@ -146,6 +147,8 @@ def corpus() -> list[tuple[dict, list[str]]]:
         ({}, ["wigner", "--t", "inf"]),
         ({}, ["wigner", "--a", "0.6", "--b", "0.8", "--alpha", "0.8", "--beta", "0.6", "--csv", "wigner.csv"]),
         ({}, ["simulate", TWO]),
+        ({}, ["simulate", TWO, *(arg for spec in SCALAR_QUERIES for arg in ("--query", spec))]),
+        ({}, ["simulate", TWO, "--query", "D2=o0|D3=o1@t=2.5"]),  # a null given: exit 1
         ({}, ["validate", "tests/data/unit_norm_edge.json"]),
         ({}, ["simulate", "tests/data/unit_norm_edge.json"]),
         (ASCII, ["simulate", "tests/data/non_ascii_label.json"]),

@@ -11,40 +11,11 @@ re-exported here: it is the only module that needs scipy, and neither
 ``from qtimeline.oracle import sequential_born``.
 """
 
-from .hilbert import (
-    DomainError,
-    LayoutError,
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    propagator,
-)
-from .instrument import (
-    DetectorModel,
-    KrausSet,
-    ValidationError,
-    ValidationReport,
-    apply_instrument,
-    validate,
-)
-from .probability import (
-    ConditioningOnNullEvent,
-    OutcomeQuery,
-    ProbabilityTable,
-    conditional,
-    full_table,
-    joint,
-    marginal,
-    outcome_labels_at,
-)
-from .timeline import (
-    EventSchedule,
-    HistoryState,
-    ScheduleError,
-    build_history,
-    constraint_residual,
-    state_at,
-)
+from .hilbert import DomainError, LayoutError, Operator, StateVector, SubsystemLayout, propagator
+from .instrument import DetectorModel, KrausSet, ValidationError, ValidationReport, apply_instrument, validate
+from .probability import (ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable, conditional, full_table, joint,
+                          marginal, outcome_labels_at)
+from .timeline import EventSchedule, HistoryState, ScheduleError, build_history, constraint_residual, state_at
 from .wigner import WignerScenario, WignerTables
 
 __all__ = [

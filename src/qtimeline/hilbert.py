@@ -117,6 +117,7 @@ class StateVector:
 
     layout: SubsystemLayout
     amplitudes: np.ndarray
+    _unit = None  # not a field: the unit-norm verdict, set on its first read
 
     def __post_init__(self) -> None:
         arr = _frozen(self.amplitudes, np.complex128)
@@ -132,7 +133,10 @@ class StateVector:
 
     @property
     def is_normalized(self) -> bool:
-        return _is_unit(self.amplitudes)
+        """``_is_unit`` of the amplitudes, judged on the first read and kept: they are read-only."""
+        if (unit := self._unit) is None:
+            object.__setattr__(self, "_unit", unit := _is_unit(self.amplitudes))
+        return unit
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.dims)
@@ -166,12 +170,12 @@ def unit_vector(amplitudes: np.ndarray, what: str) -> np.ndarray:
     return amplitudes / math.hypot(*abs(amplitudes).tolist())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the decorator sets the state per call, cheaper than a ``with``
 def _isometry_deviation(matrix: np.ndarray) -> float:
     """The largest entry of |F^dag F - I| for a (rows, d) matrix F; entries near the float limit give inf or nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = matrix.conj().T @ matrix
-        total.reshape(-1)[:: matrix.shape[1] + 1] -= 1  # a strided view of the diagonal
-        return float(abs(total).max())
+    total = matrix.conj().T @ matrix
+    total.reshape(-1)[:: matrix.shape[1] + 1] -= 1  # a strided view of the diagonal
+    return float(abs(total).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,10 +192,9 @@ class Operator:
             raise LayoutError(f"matrix shape {arr.shape} does not match layout dimension {d}")
         object.__setattr__(self, "matrix", arr)
 
+    @np.errstate(over="ignore", invalid="ignore")  # entries near the float limit give inf or nan, which fail
     def is_hermitian(self, tol: float = TOL_PREDICATE) -> bool:
-        # Entries near the float limit overflow to inf or nan, which fail the check.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return bool(abs(self.matrix - self.matrix.conj().T).max() <= tol)
+        return bool(abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -213,15 +216,16 @@ class Operator:
 def _contract(matrices: np.ndarray, op_layout: SubsystemLayout, state: StateVector) -> np.ndarray:
     """Apply the stack ``matrices`` (n, d, d), each on ``op_layout``, to the factors of ``op_layout`` in ``state``,
     as a tensor over its layout with the stack's axis last."""
-    perm, inverse = _contract_plan(op_layout, state.layout)
-    moved = state.as_tensor().transpose(perm)
-    out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:1] + moved.shape)
+    perm, shape, inverse = _contract_plan(op_layout, state.layout)
+    moved = state.amplitudes if perm is None else state.as_tensor().transpose(perm)
+    out = (matrices @ moved.reshape(op_layout.dim, -1)).reshape(matrices.shape[:1] + shape)
     return out.transpose(inverse)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _contract_plan(op_layout: SubsystemLayout, layout: SubsystemLayout) -> tuple[tuple, tuple]:
-    """``_contract``'s axis order, the operator's factors first, and the order that undoes it behind the stack axis."""
+def _contract_plan(op_layout: SubsystemLayout, layout: SubsystemLayout) -> tuple[tuple | None, tuple, tuple]:
+    """``_contract``'s axis order, the operator's factors first (None when they lead already, so the flat
+    amplitudes serve as they are), the dimensions in that order, and the order that undoes it behind the stack axis."""
     axes = []
     for label, dim in op_layout.factors:
         ax = layout.axis(label)
@@ -229,7 +233,8 @@ def _contract_plan(op_layout: SubsystemLayout, layout: SubsystemLayout) -> tuple
             raise LayoutError(f"dimension mismatch for {label!r}: operator has {dim}, state has {layout.dims[ax]}")
         axes.append(ax)
     perm = (*axes, *(ax for ax in range(len(layout.dims)) if ax not in axes))
-    return perm, (*(1 + perm.index(ax) for ax in range(len(perm))), 0)
+    shape, inverse = tuple(layout.dims[ax] for ax in perm), (*(1 + perm.index(ax) for ax in range(len(perm))), 0)
+    return None if perm == tuple(range(len(perm))) else perm, shape, inverse
 
 
 def _unitary(h: Operator, dt: float) -> np.ndarray:

@@ -17,17 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    TOL_PREDICATE,
-    LayoutError,
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    _contract,
-    _layout,
-    _isometry_deviation,
-    unit_vector,
-)
+from .hilbert import (TOL_PREDICATE, LayoutError, Operator, StateVector, SubsystemLayout, _contract, _layout,
+                      _isometry_deviation, unit_vector)
 
 
 class ValidationError(ValueError):
@@ -61,7 +52,7 @@ class KrausSet:
             raise ValidationError(f"duplicate outcome labels: {list(labels)}")
         reference = entries[0][1].layout
         for label, op in entries:
-            if op.layout != reference:
+            if op.layout is not reference and op.layout != reference:
                 raise LayoutError(f"Kraus operator for {label!r} is not on layout {reference.labels}")
         matrices = np.array([op.matrix for _, op in entries])  # the layouts agree, so the shapes do
         matrices.setflags(write=False)

@@ -91,33 +91,42 @@ class ProbabilityTable:
         object.__setattr__(self, "_negative", low < 0)  # so its derived tables are checked too
 
     def value(self, assignment: Mapping[str, str]) -> float:
-        self._known(assignment)
+        self._axes(assignment)
         if missing := set(self.detectors) - assignment.keys():
             raise KeyError(f"value requires a full assignment; missing {sorted(missing)}")
         key = tuple(assignment[d] for d in self.detectors)
-        if None in (index := tuple(map(_slot, self.labels, key))):
+        if not all(label in axis for axis, label in zip(self.labels, key)):
             raise KeyError(f"no row {key} in table over {self.detectors}")
-        return self.weights[index].item()
+        return self.select(assignment).weights.item()
 
     def select(self, assignment: Mapping[str, str]) -> ProbabilityTable:
         """Each named axis cut to its assigned label, the others whole; a label the axis does not list weighs 0."""
-        self._known(assignment)
-        labels, index = list(self.labels), [slice(None)] * len(self.labels)
-        for name, label in assignment.items():
-            axis = self.detectors.index(name)
-            labels[axis], index[axis] = (label,), _slot(self.labels[axis], label)
-        weights = np.zeros([len(axis) for axis in labels]) if None in index else self.weights[tuple(index)]
-        return self._derived(self.detectors, tuple(labels), weights, self.given)
+        labels, weights = self._cut(assignment)
+        return self._derived(self.detectors, labels, weights, self.given)
+
+    def _cut(self, assignment: Mapping[str, str]) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
+        """``select``'s labels and weights: a view of this table's cells, or zeros for an unlisted label."""
+        labels, index, listed = list(self.labels), [slice(None)] * len(self.labels), True
+        for axis, label in zip(self._axes(assignment), assignment.values()):
+            shown, labels[axis] = labels[axis], (label,)
+            if listed := listed and label in shown:
+                index[axis] = slice(i := shown.index(label), i + 1)
+        return tuple(labels), self.weights[tuple(index)] if listed else np.zeros([len(axis) for axis in labels])
 
     def marginal(self, names: Collection[str]) -> ProbabilityTable:
         """This table summed over every axis ``names`` does not name, axes in this table's order; itself if none."""
-        self._known(names)
-        if not (summed := tuple(i for i, d in enumerate(self.detectors) if d not in names)):
+        self._axes(names)
+        detectors, labels, summed = [], [], []
+        for axis, d in enumerate(self.detectors):
+            if d in names:
+                detectors.append(d)
+                labels.append(self.labels[axis])
+            else:
+                summed.append(axis)
+        if not summed:
             return self
-        kept = [d in names for d in self.detectors]
-        detectors, labels = (tuple(itertools.compress(axes, kept)) for axes in (self.detectors, self.labels))
-        given = tuple(d for d in self.given if d in names)
-        return self._derived(detectors, labels, self.weights.sum(axis=summed), given)
+        given = tuple([d for d in self.given if d in names])
+        return self._derived(tuple(detectors), tuple(labels), self.weights.sum(axis=tuple(summed)), given)
 
     def conditioned(self, names: Collection[str], t: float) -> ProbabilityTable:
         """This table over its marginal of ``names``, marked given; refused at the first null label a row loop meets."""
@@ -126,24 +135,40 @@ class ProbabilityTable:
     def _conditioned(self, t: float, *groups: Collection[str]) -> list[tuple[ProbabilityTable, ProbabilityTable]]:
         """(marginal, conditioned table) per group of names.  All groups are judged before any quotient is formed,
         in one row loop over this table, group by group within a row."""
-        shape, margins = self.weights.shape, [self.marginal(names) for names in groups]
-        spread = [m.weights.reshape([n if d in names else 1 for d, n in zip(self.detectors, shape)])
-                  for names, m in zip(groups, margins)]  # each marginal on this table's axes, to broadcast
-        if any(m.weights.min(initial=math.inf) < NULL_EVENT_TOL for m in margins):
-            cells = [np.broadcast_to(w, shape) for w in spread]
+        margins = [self.marginal(names) for names in groups]
+        return [(margin, self._derived(self.detectors, self.labels, self.weights / spread, given))
+                for margin, (spread, given) in zip(margins, self._judged(t, groups))]
+
+    def _judged(self, t: float, groups) -> list[tuple[np.ndarray, tuple[str, ...]]]:
+        """Per group of names: its marginal's weights on this table's axes (summed with ``keepdims``, to broadcast)
+        and the detectors its quotient marks given.  ConditioningOnNullEvent at the first null label a row loop
+        over this table meets, group by group within a row."""
+        judged = []
+        for names in groups:
+            self._axes(names)
+            summed = tuple([axis for axis, d in enumerate(self.detectors) if d not in names])
+            given = tuple([d for d in self.detectors if d in names or d in self.given])
+            judged.append((self.weights.sum(axis=summed, keepdims=True), given))
+        # A Python min over few cells, sums of checked cells and so never NaN, is cheaper than a numpy reduction.
+        if min([min(spread.ravel().tolist(), default=math.inf) for spread, _ in judged]) < NULL_EVENT_TOL:
+            cells = [np.broadcast_to(spread, self.weights.shape) for spread, _ in judged]
             if (met := np.any([w < NULL_EVENT_TOL for w in cells], axis=0)).any():  # a zero-width axis leaves no row
-                cell = np.unravel_index(met.argmax(), shape)
+                cell = np.unravel_index(met.argmax(), self.weights.shape)
                 names, w = next((names, w) for names, w in zip(groups, cells) if w[cell] < NULL_EVENT_TOL)
                 labels = {d: axis[i] for d, axis, i in zip(self.detectors, self.labels, cell)}
                 raise ConditioningOnNullEvent(f"conditioning assignment { {d: labels[d] for d in names} } "
                                               f"has probability {w[cell]:.3e} at t={t}")
-        marked = [tuple(d for d in self.detectors if d in names or d in self.given) for names in groups]
-        return [(m, self._derived(self.detectors, self.labels, self.weights / w, given))
-                for m, w, given in zip(margins, spread, marked)]
+        return judged
 
-    def _known(self, names: Collection[str]) -> None:
-        if extra := set(names).difference(self.detectors):
-            raise KeyError(f"no detector {sorted(extra)} in table over {self.detectors}")
+    def _axes(self, names: Collection[str]) -> list[int]:
+        """The axis of each name, in the order given; TypeError for a str, KeyError naming every unknown detector."""
+        if isinstance(names, str):  # a str is a collection of characters, never of detector names
+            raise TypeError(f"pass a collection of detector names, not the string {names!r}")
+        try:
+            return list(map(self.detectors.index, names))
+        except ValueError:
+            extra = sorted(set(names).difference(self.detectors))
+            raise KeyError(f"no detector {extra} in table over {self.detectors}") from None
 
     def _derived(self, detectors, labels, weights, given) -> ProbabilityTable:
         """A table of cells derived from this one's: unchecked, unless one of this one's is below 0."""
@@ -166,20 +191,20 @@ class ProbabilityTable:
         return dict(self.rows)
 
 
-def _slot(labels: tuple[str, ...], label: str) -> slice | None:
-    """The slice holding ``label`` on an axis that lists ``labels``; None when it does not list it."""
-    return slice(i := labels.index(label), i + 1) if label in labels else None
-
-
 def query_table(history: HistoryState, query: OutcomeQuery) -> ProbabilityTable:
-    """The query's answer as a table derived from the segment's at ``query.t``: conditioned on ``query.given``
-    when it has one, then cut to ``query.assignments``; its total is the query's probability."""
-    table = full_table(history, query.t)
-    if query.given is not None:
-        history.schedule.check(query.given)
-        table = table.select(query.given).conditioned(query.given, query.t)
-    history.schedule.check(query.assignments)
-    return table.select(query.assignments)
+    """The query's answer as a table derived from the segment's at ``query.t``: cut to ``query.given`` and judged
+    on it when it has one, then cut to ``query.assignments`` and, for ``given``, divided by the judged marginal
+    (only the cells the answer keeps); its total is the query's probability."""
+    table, schedule = full_table(history, query.t), history.schedule
+    if query.given is None:
+        schedule.check(query.assignments)
+        return table.select(query.assignments)
+    schedule.check(query.given)
+    table = table.select(query.given)
+    ((spread, given),) = table._judged(query.t, (query.given,))
+    schedule.check(query.assignments)
+    labels, weights = table._cut(query.assignments)
+    return table._derived(table.detectors, labels, weights / spread, given)
 
 
 def _unconditioned(history: HistoryState, query: OutcomeQuery, name: str) -> float:
@@ -191,8 +216,7 @@ def _unconditioned(history: HistoryState, query: OutcomeQuery, name: str) -> flo
 
 def joint(history: HistoryState, query: OutcomeQuery) -> float:
     """Probability that every detector shows its assigned label at time t."""
-    missing = set(history.schedule.detector_labels) - set(query.assignments)
-    if missing:
+    if missing := set(history.schedule.detector_labels) - query.assignments.keys():
         raise KeyError(f"joint requires a full assignment; missing {sorted(missing)}")
     return _unconditioned(history, query, "joint")
 

@@ -34,17 +34,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .hilbert import (
-    CACHE_SIZE,
-    DomainError,
-    LayoutError,
-    Operator,
-    StateVector,
-    SubsystemLayout,
-    TOL_EQUALITY,
-    _layout,
-    _unitary,
-)
+from .hilbert import (CACHE_SIZE, DomainError, LayoutError, Operator, StateVector, SubsystemLayout, TOL_EQUALITY,
+                      _layout, _unitary)
 from .instrument import DetectorModel, apply_instrument
 from .probability import ProbabilityTable
 
@@ -61,8 +52,9 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class EventSchedule:
-    """Strictly increasing measurement times with attached detectors; ``times``
-    and ``detector_labels`` are computed once, on construction."""
+    """Strictly increasing measurement times with attached detectors; ``times``, ``detector_labels`` and the
+    name -> detector and name -> shown-labels maps that ``detector`` and ``check`` read are computed once,
+    on construction."""
 
     events: tuple[tuple[float, DetectorModel], ...]
 
@@ -74,19 +66,24 @@ class EventSchedule:
             raise ScheduleError(f"event times must be finite, got {list(times)}")
         if list(times) != sorted(set(times)):  # finite, so strictly increasing exactly when sorted and distinct
             raise ScheduleError(f"event times must be strictly increasing, got {list(times)}")
+        by_name = {det.detector_label: det for det in reversed(detectors)}  # the first of a repeated name wins
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "detector_labels", tuple([det.detector_label for det in detectors]))
+        object.__setattr__(self, "_detectors", by_name)
+        object.__setattr__(self, "_shown", {name: (det.ready_label, *det.kraus.outcome_labels)
+                                            for name, det in by_name.items()})
 
     def detector(self, label: str) -> DetectorModel:
-        for _, det in self.events:
-            if det.detector_label == label:
-                return det
-        raise KeyError(f"no detector {label!r} in schedule; have {self.detector_labels}")
+        try:
+            return self._detectors[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label names no detector either
+            raise KeyError(f"no detector {label!r} in schedule; have {self.detector_labels}") from None
 
     def check(self, assignment: dict[str, str]) -> None:
         """KeyError unless each name is a scheduled detector and each label one it can show: the query rule."""
         for name, label in assignment.items():
-            self.detector(name).record_index(label)
+            if label not in self._shown.get(name, ()):
+                self.detector(name).record_index(label)  # raises the detector's or the label's KeyError
 
     def __len__(self) -> int:
         return len(self.events)
@@ -132,32 +129,33 @@ class HistoryState:
             raise DomainError(f"anchor states must be normalized: anchor {k} ({after}) has norm "
                               f"{self.anchors[k].norm!r}, more than {TOL_EQUALITY:g} from 1")
         object.__setattr__(self, "_records", [None] * len(self.anchors))  # filled by ``records``
+        object.__setattr__(self, "_system_axes", tuple(range(len(self.h_system.layout.dims))))
 
     def records(self, k: int) -> ProbabilityTable:
         """The full table of segment ``k``, formed and checked on first read and cached in a list that holds no
         reference back to the history.  ``weights``: the read-only |amplitude|^2 of ``anchors[k]`` summed over
         the system axes, one axis per scheduled detector; ``labels``: per axis, the ready label before it fires,
         its outcomes in Kraus order after, then the ready label while a later Kraus leaves weight there."""
-        if self._records[k] is not None:
-            return self._records[k]
-        system_axes = tuple(range(len(self.h_system.layout.factors)))
-        w = np.asarray((np.abs(self.anchors[k].as_tensor()) ** 2).sum(axis=system_axes))
-        detectors = [det for _, det in self.schedule.events]
-        shown = []
-        for axis, det in enumerate(detectors[:k]):
-            outcomes = det.kraus.outcome_labels
-            if w.shape[axis] == det.ancilla_dim:  # a whole ancilla: outcomes, then a ready slot with weight
-                order = list(range(1, det.ancilla_dim))
+        if (table := self._records[k]) is not None:
+            return table
+        w = np.asarray((np.abs(self.anchors[k].as_tensor()) ** 2).sum(axis=self._system_axes))
+        labels = []
+        for axis, (_, det) in enumerate(self.schedule.events):
+            if axis >= k:
+                labels.append((det.ready_label,))
+            elif w.shape[axis] == det.ancilla_dim:  # a whole ancilla: outcomes, then a ready slot with weight
+                order, shown = list(range(1, det.ancilla_dim)), det.kraus.outcome_labels
                 if w.take(0, axis=axis).any():
                     order.append(0)
-                    outcomes += (det.ready_label,)
+                    shown += (det.ready_label,)
                 w = w.take(order, axis=axis)
-            shown.append(outcomes)
-        w = w.reshape(w.shape + (1,) * (len(detectors) - k))
+                labels.append(shown)
+            else:
+                labels.append(det.kraus.outcome_labels)
+        w = w.reshape(w.shape + (1,) * (len(labels) - k))
         w.setflags(write=False)
-        labels = (*shown, *((det.ready_label,) for det in detectors[k:]))
-        self._records[k] = ProbabilityTable(self.schedule.detector_labels, labels, w)
-        return self._records[k]
+        self._records[k] = table = ProbabilityTable(self.schedule.detector_labels, tuple(labels), w)
+        return table
 
     @cached_property
     def layout(self) -> SubsystemLayout:
@@ -184,8 +182,8 @@ def history_layout(system: SubsystemLayout, schedule: EventSchedule) -> Subsyste
     times n_out per record or n_out + 1 for a record some Kraus acts on, must
     not exceed ``MAX_DENSE_DIM`` (DomainError).
     """
-    events = ((det.detector_label, det.ancilla_dim, det.kraus.target_layout.factors) for _, det in schedule.events)
-    return _history_layout(system, tuple(events))
+    return _history_layout(system, tuple([(det.detector_label, det.ancilla_dim, det.kraus.target_layout.factors)
+                                          for _, det in schedule.events]))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -263,12 +261,13 @@ def build_history(psi0: StateVector, t0: float | None, h_system: Operator, sched
     for (t_k, det), t_prev in zip(schedule.events, (t0,) + schedule.times):
         stored = anchors[-1].layout
         amplitudes = _evolve(h_system, anchors[-1], t_k, t_prev)
-        targets = dict(det.kraus.target_layout.factors)
-        factors = tuple((label, targets.get(label, dim)) for label, dim in stored.factors)
-        if factors != stored.factors:  # a Kraus on a record needs its whole ancilla
-            state = _pad(amplitudes, stored, _layout(factors))
-        else:
+        targets = det.kraus.target_layout.factors
+        if all(map(stored.factors.__contains__, targets)):
             state = StateVector(stored, amplitudes)
+        else:  # a Kraus on a record stored as its outcome slots needs its whole ancilla
+            whole = dict(targets)
+            factors = tuple((label, whole.get(label, dim)) for label, dim in stored.factors)
+            state = _pad(amplitudes, stored, _layout(factors))
         anchors.append(apply_instrument(state, det))
 
     return HistoryState(h_system, schedule, t0, tuple(anchors))

@@ -109,6 +109,21 @@ def test_simulate_output_matches_golden(tmp_path, capsys):
     assert csv_path.read_bytes() == (DATA / "two_factor_wigner.csv").read_bytes()
 
 
+SCALAR_QUERIES = ("D1=o1,D2=o2,D3=o0@t=4", "D2=o1@t=2.5", "D2=o0|D1=o2@t=2.5", "D3=o2|D1=r@t=4", "D3=o0@t=2.5")
+
+
+def test_scalar_queries_print_the_golden_output_and_a_null_given_exits_1(capsys):
+    # A joint, a marginal, two conditionals (D1's ready slot has weight once D3 acts on its record) and a
+    # label the segment does not show, which weighs 0; the same queries the CI step diffs.
+    path = str(DATA / "two_factor_wigner.json")
+    assert main(["simulate", path, *(arg for text in SCALAR_QUERIES for arg in ("--query", text))]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.encode() == (DATA / "two_factor_wigner_queries.out").read_bytes()
+    assert main(["simulate", path, "--query", "D2=o0|D3=o1@t=2.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "query 0: conditioning assignment {'D3': 'o1'} has probability 0.000e+00 at t=2.5\n"
+
+
 def test_the_unit_norm_edge_file_gets_one_verdict(capsys):
     # Its state's norm is within TOL_EQUALITY of 1 by one rounding of it and not by another: validate,
     # export and simulate must judge it by the one rule StateVector applies, and so agree.

@@ -14,7 +14,7 @@ import pytest
 from qtimeline.cli import _answer
 from qtimeline.hilbert import DomainError
 from qtimeline.probability import (NULL_EVENT_TOL, ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable,
-                                   conditional, full_table, joint, marginal)
+                                   conditional, full_table, joint, marginal, query_table)
 from qtimeline.sampling import random_record_scenario, random_scenario, random_wide_scenario
 from qtimeline.timeline import build_history
 
@@ -158,3 +158,114 @@ def test_derived_tables_agree_with_the_library_scalars_and_the_cli_cell(sampler)
             for key, _ in records.rows[:4]:
                 query = OutcomeQuery(dict(zip(records.detectors, key)), t)
                 assert _answer(history, query)[1].weights.item() == joint(history, query)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: t.marginal("D1"),
+    lambda t: t.conditioned("D1", T),
+    lambda t: t._conditioned(T, ("D1",), "D10"),
+    lambda t: t.select("D1"),
+    lambda t: t.value("D1"),
+], ids=["marginal", "conditioned", "_conditioned", "select", "value"])
+def test_a_bare_string_is_refused_not_read_as_its_characters(call):
+    # "D1" names a detector here; read as characters it named "D" and "1", which no detector is.
+    parent = table([[0.1, 0.2], [0.3, 0.4]], ("D1", "D10"))
+    with pytest.raises(TypeError, match=r"^pass a collection of detector names, not the string 'D1"):
+        call(parent)
+
+
+def test_a_string_of_detector_names_neither_sums_nothing_nor_conditions_on_every_detector():
+    parent = table([[0.1, 0.2], [0.3, 0.4]], ("F", "W"))
+    with pytest.raises(TypeError, match=re.escape("not the string 'FW'")):
+        parent.marginal("FW")  # as characters it named both detectors and returned the joint table
+    with pytest.raises(TypeError, match=re.escape("not the string 'WF'")):
+        parent.conditioned("WF", T)  # as characters it conditioned on both
+    assert parent.marginal(["F", "W"]) is parent and parent.marginal({"W": "w0"}).detectors == ("W",)
+
+
+def _schedule():
+    return build_history(*_sample(random_scenario, 0)).schedule
+
+
+def test_check_refuses_an_unknown_detector():
+    schedule = _schedule()
+    message = f"no detector 'X' in schedule; have {schedule.detector_labels}"
+    with pytest.raises(KeyError, match=f"^{re.escape(repr(message))}$"):
+        schedule.check({schedule.detector_labels[0]: schedule.events[0][1].ready_label, "X": "x"})
+
+
+def test_check_refuses_an_unknown_label_and_another_detectors_label():
+    schedule = _schedule()
+    (_, first), (_, second) = schedule.events[:2]
+    foreign = next(label for label in second.kraus.outcome_labels if label not in first.kraus.outcome_labels)
+    for label in ("nowhere", foreign):
+        message = (f"detector {first.detector_label!r} has no outcome {label!r}; have {first.kraus.outcome_labels} "
+                   f"and ready label {first.ready_label!r}")
+        with pytest.raises(KeyError, match=f"^{re.escape(repr(message))}$"):
+            schedule.check({first.detector_label: label})
+
+
+def test_check_accepts_the_ready_label_and_every_outcome():
+    schedule = _schedule()
+    for _, det in schedule.events:
+        for label in (det.ready_label, *det.kraus.outcome_labels):
+            assert schedule.check({det.detector_label: label}) is None
+        assert schedule.detector(det.detector_label) is det
+
+
+def _cut(detectors, labels, weights, assignment):
+    """Plain numpy: each named axis of ``weights`` cut to its label by a slice, zeros for a label it does not list."""
+    labels, index = list(labels), [slice(None)] * len(labels)
+    for name, label in assignment.items():
+        axis = detectors.index(name)
+        i = labels[axis].index(label) if label in labels[axis] else None
+        labels[axis], index[axis] = (label,), None if i is None else slice(i, i + 1)
+    return tuple(labels), np.zeros([len(axis) for axis in labels]) if None in index else weights[tuple(index)]
+
+
+def _reference(records, query):
+    """The answer's labels, given and weights from the segment's weights in the chain's order: cut to
+    ``given``, divide by the marginal of the cut, cut to the assignments.  None for a null given."""
+    detectors, labels, weights = records.detectors, records.labels, records.weights
+    if query.given is not None:
+        labels, weights = _cut(detectors, labels, weights, query.given)
+        margin = weights.sum(axis=tuple(i for i, d in enumerate(detectors) if d not in query.given), keepdims=True)
+        if margin.min() < NULL_EVENT_TOL:
+            return None
+        weights = weights / margin
+    labels, weights = _cut(detectors, labels, weights, query.assignments)
+    return labels, tuple(d for d in detectors if d in (query.given or ())), weights
+
+
+@pytest.mark.parametrize("sampler", [random_scenario, random_wide_scenario, random_record_scenario])
+def test_every_answer_is_the_plain_numpy_chain_bit_for_bit(sampler):
+    for seed in range(4):
+        history = build_history(*_sample(sampler, seed))
+        ready = {det.detector_label: det.ready_label for _, det in history.schedule.events}
+        for k in range(len(history.schedule) + 1):
+            t = history.anchor_time(k) + 0.5  # the samplers put their events one unit apart
+            records = history.records(k)
+            shown = dict(zip(records.detectors, records.labels))
+            last = {d: labels[-1] for d, labels in shown.items()}
+            queries = [OutcomeQuery(last, t), OutcomeQuery(ready, t)]  # joints; most ready labels are unlisted
+            for a, b in itertools.permutations(records.detectors, 2):
+                rest = {d: last[d] for d in records.detectors if d not in (a, b)}
+                queries += [OutcomeQuery({a: shown[a][0]}, t), OutcomeQuery({a: ready[a], b: shown[b][-1]}, t),
+                            OutcomeQuery({a: shown[a][-1]}, t, {b: shown[b][0], **rest}),
+                            OutcomeQuery({a: ready[a]}, t, {b: ready[b]})]
+                queries += [OutcomeQuery({a: x}, t, {b: y}) for x in shown[a] for y in shown[b]]
+            for query in queries:
+                if (expected := _reference(records, query)) is None:
+                    with pytest.raises(ConditioningOnNullEvent):
+                        query_table(history, query)
+                    continue
+                answer = query_table(history, query)
+                assert (answer.labels, answer.given) == expected[:2]
+                assert answer.weights.shape == expected[2].shape and (answer.weights == expected[2]).all()
+                total = float(expected[2].sum())
+                if query.given is not None:
+                    assert conditional(history, query.assignments, query.given, t) == total
+                elif len(query.assignments) == len(records.detectors):
+                    assert joint(history, query) == total
+                else:
+                    assert marginal(history, query) == total

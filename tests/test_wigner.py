@@ -316,3 +316,13 @@ def test_the_first_null_given_label_in_row_order_is_reported(params, given):
     message = f"conditioning assignment {given} has probability 0.000e+00 at t=3.0"
     with pytest.raises(ConditioningOnNullEvent, match=f"^{re.escape(message)}$"):
         tables(WignerScenario(*params), 3.0)
+
+
+def test_each_state_is_judged_unit_once(monkeypatch):
+    judged = []
+    real = qtimeline.hilbert._is_unit
+    monkeypatch.setattr(qtimeline.hilbert, "_is_unit", lambda amplitudes: judged.append(amplitudes) or real(amplitudes))
+    tables(WignerScenario(0.6, 0.8, 0.8, 0.6), 3.0)
+    # The scenario's (a, b), the test's phi, and the two anchors the build adds; the initial state,
+    # anchor 0, keeps the verdict the scenario gave it.
+    assert len(judged) == 4
