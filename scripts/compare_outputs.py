@@ -42,6 +42,9 @@ PAIRS = (  # (a, b, alpha, beta): the default pair, a complex one, and a basis p
     ("0.7071067811865476", "0.7071067811865476", "1", "0"),
     ("0.6", "0,0.8", "0.8", "0,0.6"),
     ("1", "0", "0.8", "0.6"),
+    # near-unit pairs (norm about 1 + 6.4e-13): every grid defined; W=no null once Wigner has measured (exit 1)
+    ("0.6", "0.8", "0.707106781187", "0.707106781187"),
+    ("0.707106781187", "0.707106781187", "0.707106781187", "0.707106781187"),
 )
 
 

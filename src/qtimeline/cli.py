@@ -15,7 +15,7 @@ import sys
 
 from .hilbert import DomainError
 from .probability import ConditioningOnNullEvent, OutcomeQuery, ProbabilityTable, full_table, query_table
-from .scenario import ScenarioError, dump_scenario, load_scenario, parse_query_string
+from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario, parse_query_string
 from .timeline import HistoryState, build_history
 from .wigner import WignerScenario, tables, unit_pair
 
@@ -85,11 +85,21 @@ def _print_rows(t: float, kind: str, table: ProbabilityTable, total: bool = Fals
         print(f"  {'total':<12} {'':<10} {'':<{width}}  {_fmt(value_sum, PRETTY_DIGITS)}")
 
 
-def _cmd_simulate(args) -> int:
+def _load(path: str) -> Scenario | None:
+    """The scenario file at ``path``; None, after one stderr line, if it cannot be read or is not a valid scenario."""
     try:
-        scenario = load_scenario(args.file)
+        return load_scenario(path)
+    except (ScenarioError, OSError) as err:
+        print(f"{path}: {err}", file=sys.stderr)
+        return None
+
+
+def _cmd_simulate(args) -> int:
+    if (scenario := _load(args.file)) is None:
+        return 2
+    try:
         history = build_history(scenario.psi0, scenario.t0, scenario.h_system, scenario.schedule)
-    except (ScenarioError, DomainError, OSError) as err:  # DomainError: the phase rule, all a parsed file can fail
+    except DomainError as err:  # the phase rule, all a parsed file can fail
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
 
@@ -173,10 +183,7 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        scenario = load_scenario(args.file)
-    except (ScenarioError, OSError) as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
+    if (scenario := _load(args.file)) is None:
         return 2
     n_events = len(scenario.schedule)
     print(f"{args.file}: ok ({n_events} event{'s' if n_events != 1 else ''}, "
@@ -185,10 +192,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        scenario = load_scenario(args.file)
-    except (ScenarioError, OSError) as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
+    if (scenario := _load(args.file)) is None:
         return 2
     text = dump_scenario(scenario)
     if args.out:

@@ -6,10 +6,10 @@ same anywhere in a segment: the segment anchor's |amplitude|^2 summed over the
 system axes.  That labelled record-weight array is the single primitive: the
 history forms it once per anchor, on first read, as a ``ProbabilityTable`` with
 one axis per scheduled detector, and checks it then (``HistoryState.records``).
-A full table is that very table, and every other answer is a table derived
-from it (``query_table``): ``select`` cuts axes to assigned labels (a label an
-axis does not list weighs 0), ``marginal`` sums the unnamed axes away and
-``conditioned`` divides by a marginal, the Bayes quotient.  Absolute
+A full table is that very table, and every other answer is a chain of its
+public derivations (``query_table``): ``select`` is the one cut of axes to
+assigned labels (a label an axis does not list weighs 0), ``marginal`` sums
+the unnamed axes away and ``conditioned`` is the one Bayes quotient.  Absolute
 probabilities marginalized over the clock are deliberately not offered."""
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class ProbabilityTable:
     when it is empty the weights of a full table sum to one.  ``rows`` pairs
     each ``itertools.product(*labels)`` key with its weight, built per read: a history keeps its tables.
 
-    ``select``, ``marginal`` and ``conditioned`` derive tables.  Cuts, sums, and quotients by weights of at least
-    NULL_EVENT_TOL, of cells all >= 0 stay finite, >= 0 and (a quotient) <= 1, so a table derived from such cells
-    (a history's) holds its new array unchecked and uncopied; one from a table with a cell below 0 is checked.
+    ``select`` (the one cut), ``marginal`` and ``conditioned`` (the one quotient) derive tables.  Cuts, sums, and
+    quotients by weights of at least NULL_EVENT_TOL, of cells all >= 0 stay finite, >= 0 and (a quotient) <= 1, so a
+    table derived from such cells (a history's) holds its new array unchecked and uncopied; others are checked.
     """
 
     detectors: tuple[str, ...]
@@ -101,17 +101,13 @@ class ProbabilityTable:
 
     def select(self, assignment: Mapping[str, str]) -> ProbabilityTable:
         """Each named axis cut to its assigned label, the others whole; a label the axis does not list weighs 0."""
-        labels, weights = self._cut(assignment)
-        return self._derived(self.detectors, labels, weights, self.given)
-
-    def _cut(self, assignment: Mapping[str, str]) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
-        """``select``'s labels and weights: a view of this table's cells, or zeros for an unlisted label."""
         labels, index, listed = list(self.labels), [slice(None)] * len(self.labels), True
         for axis, label in zip(self._axes(assignment), assignment.values()):
             shown, labels[axis] = labels[axis], (label,)
             if listed := listed and label in shown:
                 index[axis] = slice(i := shown.index(label), i + 1)
-        return tuple(labels), self.weights[tuple(index)] if listed else np.zeros([len(axis) for axis in labels])
+        weights = self.weights[tuple(index)] if listed else np.zeros([len(axis) for axis in labels])
+        return self._derived(self.detectors, tuple(labels), weights, self.given)
 
     def marginal(self, names: Collection[str]) -> ProbabilityTable:
         """This table summed over every axis ``names`` does not name, axes in this table's order; itself if none."""
@@ -130,35 +126,28 @@ class ProbabilityTable:
 
     def conditioned(self, names: Collection[str], t: float) -> ProbabilityTable:
         """This table over its marginal of ``names``, marked given; refused at the first null label a row loop meets."""
-        return self._conditioned(t, names)[0][1]
+        return self._quotients(t, names)[0]
 
-    def _conditioned(self, t: float, *groups: Collection[str]) -> list[tuple[ProbabilityTable, ProbabilityTable]]:
-        """(marginal, conditioned table) per group of names.  All groups are judged before any quotient is formed,
-        in one row loop over this table, group by group within a row."""
-        margins = [self.marginal(names) for names in groups]
-        return [(margin, self._derived(self.detectors, self.labels, self.weights / spread, given))
-                for margin, (spread, given) in zip(margins, self._judged(t, groups))]
-
-    def _judged(self, t: float, groups) -> list[tuple[np.ndarray, tuple[str, ...]]]:
-        """Per group of names: its marginal's weights on this table's axes (summed with ``keepdims``, to broadcast)
-        and the detectors its quotient marks given.  ConditioningOnNullEvent at the first null label a row loop
-        over this table meets, group by group within a row."""
-        judged = []
+    def _quotients(self, t: float, *groups: Collection[str]) -> list[ProbabilityTable]:
+        """This table over its marginal of each group of names, marked given.  All groups are judged before any
+        quotient is formed: ConditioningOnNullEvent at the first null label a row loop meets, group by group per row."""
+        spreads = []
         for names in groups:
             self._axes(names)
             summed = tuple([axis for axis, d in enumerate(self.detectors) if d not in names])
-            given = tuple([d for d in self.detectors if d in names or d in self.given])
-            judged.append((self.weights.sum(axis=summed, keepdims=True), given))
+            spreads.append(self.weights.sum(axis=summed, keepdims=True))
         # A Python min over few cells, sums of checked cells and so never NaN, is cheaper than a numpy reduction.
-        if min([min(spread.ravel().tolist(), default=math.inf) for spread, _ in judged]) < NULL_EVENT_TOL:
-            cells = [np.broadcast_to(spread, self.weights.shape) for spread, _ in judged]
+        if min([min(spread.ravel().tolist(), default=math.inf) for spread in spreads]) < NULL_EVENT_TOL:
+            cells = [np.broadcast_to(spread, self.weights.shape) for spread in spreads]
             if (met := np.any([w < NULL_EVENT_TOL for w in cells], axis=0)).any():  # a zero-width axis leaves no row
                 cell = np.unravel_index(met.argmax(), self.weights.shape)
                 names, w = next((names, w) for names, w in zip(groups, cells) if w[cell] < NULL_EVENT_TOL)
                 labels = {d: axis[i] for d, axis, i in zip(self.detectors, self.labels, cell)}
                 raise ConditioningOnNullEvent(f"conditioning assignment { {d: labels[d] for d in names} } "
                                               f"has probability {w[cell]:.3e} at t={t}")
-        return judged
+        return [self._derived(self.detectors, self.labels, self.weights / spread,
+                              tuple([d for d in self.detectors if d in names or d in self.given]))
+                for names, spread in zip(groups, spreads)]
 
     def _axes(self, names: Collection[str]) -> list[int]:
         """The axis of each name, in the order given; TypeError for a str, KeyError naming every unknown detector."""
@@ -192,19 +181,14 @@ class ProbabilityTable:
 
 
 def query_table(history: HistoryState, query: OutcomeQuery) -> ProbabilityTable:
-    """The query's answer as a table derived from the segment's at ``query.t``: cut to ``query.given`` and judged
-    on it when it has one, then cut to ``query.assignments`` and, for ``given``, divided by the judged marginal
-    (only the cells the answer keeps); its total is the query's probability."""
+    """The query's answer as a table derived from the segment's at ``query.t``: cut to ``query.given`` and
+    conditioned on it when it has one, then cut to ``query.assignments``; its total is the query's probability."""
     table, schedule = full_table(history, query.t), history.schedule
-    if query.given is None:
-        schedule.check(query.assignments)
-        return table.select(query.assignments)
-    schedule.check(query.given)
-    table = table.select(query.given)
-    ((spread, given),) = table._judged(query.t, (query.given,))
+    if query.given is not None:
+        schedule.check(query.given)
+        table = table.select(query.given).conditioned(query.given, query.t)
     schedule.check(query.assignments)
-    labels, weights = table._cut(query.assignments)
-    return table._derived(table.detectors, labels, weights / spread, given)
+    return table.select(query.assignments)
 
 
 def _unconditioned(history: HistoryState, query: OutcomeQuery, name: str) -> float:

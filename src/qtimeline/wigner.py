@@ -113,5 +113,5 @@ def tables(scenario: WignerScenario, t: float) -> WignerTables:
     marginals and its conditionals.  Both given marginals are judged before either quotient is formed, so the null
     label refused is the first that a row loop over (f, w) meets, F before W in a row."""
     joint = full_table(build(scenario), t)
-    (marginal_f, w_given_f), (marginal_w, f_given_w) = joint._conditioned(t, (FRIEND,), (WIGNER,))
-    return WignerTables(joint, marginal_w, marginal_f, w_given_f, f_given_w)
+    marginal_f, marginal_w = joint.marginal((FRIEND,)), joint.marginal((WIGNER,))
+    return WignerTables(joint, marginal_w, marginal_f, *joint._quotients(t, (FRIEND,), (WIGNER,)))

@@ -116,11 +116,11 @@ def test_several_groups_are_judged_in_one_row_loop_before_any_quotient(null_a, n
     met = next(({"A": f"a{a}"} if a in null_a else {"B": f"b{b}"} for a, b in itertools.product(range(2), range(3))
                 if a in null_a or b in null_b), None)  # a row loop over (a, b): A before B in a row
     if met is None:
-        (_, on_a), (_, on_b) = parent._conditioned(T, ("A",), ("B",))
+        on_a, on_b = parent._quotients(T, ("A",), ("B",))
         assert on_a.given == ("A",) and on_b.given == ("B",)
         return
     with pytest.raises(ConditioningOnNullEvent, match=null_message(met, 0.0)):
-        parent._conditioned(T, ("A",), ("B",))
+        parent._quotients(T, ("A",), ("B",))
 
 
 def _sample(sampler, seed):
@@ -163,10 +163,10 @@ def test_derived_tables_agree_with_the_library_scalars_and_the_cli_cell(sampler)
 @pytest.mark.parametrize("call", [
     lambda t: t.marginal("D1"),
     lambda t: t.conditioned("D1", T),
-    lambda t: t._conditioned(T, ("D1",), "D10"),
+    lambda t: t._quotients(T, ("D1",), "D10"),
     lambda t: t.select("D1"),
     lambda t: t.value("D1"),
-], ids=["marginal", "conditioned", "_conditioned", "select", "value"])
+], ids=["marginal", "conditioned", "_quotients", "select", "value"])
 def test_a_bare_string_is_refused_not_read_as_its_characters(call):
     # "D1" names a detector here; read as characters it named "D" and "1", which no detector is.
     parent = table([[0.1, 0.2], [0.3, 0.4]], ("D1", "D10"))
