@@ -6,8 +6,8 @@ conditional outcome probabilities at fixed clock readings, and ships a
 preconfigured Wigner's-friend scenario.
 
 The sequential Born-rule oracle that cross-checks the pipeline is not
-re-exported here: it is the only module that needs scipy, and neither
-``import qtimeline`` nor the CLI loads scipy.  Import it as
+re-exported here: it shares no code with the pipeline, and neither
+``import qtimeline`` nor the CLI loads it.  Import it as
 ``from qtimeline.oracle import sequential_born``.
 """
 

@@ -1,15 +1,16 @@
 """Sequential Born-rule cross-check, computed without any history machinery.
 
 This module is the independent second route: explicit matrix chains built
-element by element, Pade-based matrix exponentials from scipy, and none of the
-segment or projection code used elsewhere.  It is allowed to be slow and
-obvious.
+element by element, matrix exponentials by a scaled and squared power series
+in numpy alone, and none of the segment, projection or spectral code used
+elsewhere.  It is allowed to be slow and obvious.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import expm
 
 from .hilbert import LayoutError, Operator, StateVector
 from .timeline import EventSchedule
@@ -40,6 +41,24 @@ def _embed_naive(matrix: np.ndarray, target_axes, dims) -> np.ndarray:
                 col = col * d + dj[ax]
             out[i, j] = matrix[row, col]
     return out
+
+
+def _expm_naive(matrix: np.ndarray) -> np.ndarray:
+    """exp(matrix): halve it until its infinity-norm is at most 1/2, sum 20
+    terms of the power series, then square the sum back as often."""
+    norm = float(np.max(np.sum(np.abs(matrix), axis=1), initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot exponentiate a matrix of infinity-norm {norm}")
+    squarings = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    scaled = matrix * 0.5**squarings
+    term = np.eye(len(matrix), dtype=np.complex128)
+    total = term.copy()
+    for k in range(1, 21):
+        term = term @ scaled / k
+        total += term
+    for _ in range(squarings):
+        total = total @ total
+    return total
 
 
 def sequential_born(
@@ -79,7 +98,7 @@ def sequential_born(
     previous_time = None
     for event_time, det in schedule.events:
         if previous_time is not None:
-            state = expm(-1j * h_full * (event_time - previous_time)) @ state
+            state = _expm_naive(-1j * h_full * (event_time - previous_time)) @ state
         kraus_axes = [labels.index(label) for label in det.kraus.target_labels]
         if det.detector_label in labels:
             record_axis = labels.index(det.detector_label)

@@ -548,10 +548,10 @@ def test_the_sweep_and_the_cli_make_a_near_unit_pair_unit_alike(tmp_path, capsys
 
 
 def test_package_and_cli_do_not_import_scipy():
-    # A fresh interpreter: this process already holds scipy through the oracle tests.
+    # A fresh interpreter: what other tests imported into this process does not count.
     code = (
         "import sys\n"
-        "import qtimeline, qtimeline.cli, qtimeline.wigner, qtimeline.scenario, qtimeline.sampling\n"
+        "import qtimeline, qtimeline.cli, qtimeline.wigner, qtimeline.scenario, qtimeline.sampling, qtimeline.oracle\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())

@@ -1,4 +1,10 @@
+import ast
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +13,8 @@ from hypothesis import strategies as st
 
 from qtimeline.hilbert import LayoutError, Operator, StateVector, SubsystemLayout, propagator
 from qtimeline.instrument import DetectorModel, KrausSet
-from qtimeline.oracle import sequential_born
+from qtimeline import oracle
+from qtimeline.oracle import _expm_naive, sequential_born
 from qtimeline.probability import OutcomeQuery, conditional, full_table, joint, marginal
 from qtimeline.sampling import (
     random_complete_kraus,
@@ -61,6 +68,67 @@ def test_oracle_reproduces_wigner_grid():
         for (f, w), value in expected.items():
             got = sequential_born(psi0, h_zero, schedule, {"F": f, "W": w})
             assert abs(got - value) < 1e-12
+
+
+def test_oracle_runs_where_scipy_cannot_be_imported():
+    # A fresh interpreter in which every scipy import raises ImportError.
+    tests = Path(__file__).resolve().parent
+    path = [Path(oracle.__file__).parents[1], tests, tests.parent / "scripts"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import test_oracle\n"
+        "test_oracle.test_oracle_reproduces_wigner_grid()\n"
+        "test_oracle.test_oracle_agrees_on_three_qubit_system()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_shares_no_code_or_spectral_method_with_the_pipeline():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qtimeline")):
+            package |= {("." * node.level + (node.module or ""), alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            package |= {(alias.name, None) for alias in node.names if alias.name.startswith("qtimeline")}
+    assert package == {(".hilbert", "LayoutError"), (".hilbert", "Operator"), (".hilbert", "StateVector"),
+                       (".timeline", "EventSchedule")}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"eigh", "eig", "propagator"}
+
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1.0, math.pi / 2, 37.3, 1e3])
+def test_expm_naive_rotates_by_the_closed_form(theta):
+    expected = math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * SIGMA_X
+    assert np.max(np.abs(_expm_naive(-1j * theta * SIGMA_X) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 12, 108])
+@pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
+def test_expm_naive_is_unitary_and_matches_the_spectral_exponential(dim, t):
+    h = random_hermitian(np.random.default_rng([dim, 7]), SubsystemLayout.of(("S", dim))).matrix
+    u = _expm_naive(-1j * t * h)
+    energies, vectors = np.linalg.eigh(h)
+    expected = (vectors * np.exp(-1j * t * energies)) @ vectors.conj().T
+    assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
+    assert np.max(np.abs(u - expected)) < 1e-12
+
+
+def test_expm_naive_of_zero_is_exactly_the_identity():
+    assert np.array_equal(_expm_naive(np.zeros((3, 3), dtype=np.complex128)), np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_naive_refuses_a_non_finite_generator(bad):
+    with pytest.raises(ValueError, match="infinity-norm"):
+        _expm_naive(np.array([[0.0, bad], [bad, 0.0]], dtype=np.complex128))
 
 
 @given(seed=st.integers(0, 2**32 - 1))
