@@ -43,7 +43,7 @@ class KrausSet:
     outcomes: tuple[tuple[str, Operator], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple([(str(label), op) for label, op in self.outcomes])
+        entries = tuple([(label, op) for label, op in self.outcomes])  # a non-str label is left for the label rule
         object.__setattr__(self, "outcomes", entries)
         if not entries:
             raise ValidationError("a Kraus set needs at least one outcome")

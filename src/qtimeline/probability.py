@@ -66,9 +66,11 @@ class ProbabilityTable:
     when it is empty the weights of a full table sum to one.  ``rows`` pairs
     each ``itertools.product(*labels)`` key with its weight, built per read: a history keeps its tables.
 
-    ``select`` (the one cut), ``marginal`` and ``conditioned`` (the one quotient) derive tables.  Cuts, sums, and
-    quotients by weights of at least NULL_EVENT_TOL, of cells all >= 0 stay finite, >= 0 and (a quotient) <= 1, so a
-    table derived from such cells (a history's) holds its new array unchecked and uncopied; others are checked.
+    ``select`` (the one cut), ``marginal`` and ``conditioned`` (the one quotient) derive tables.  A table is trusted
+    when its cells lie in [0, 1 + TOL_EQUALITY] (a history's do) or it derives from a trusted one: a cut or summed
+    cell is then at most the root table's total and a quotient by weights of at least NULL_EVENT_TOL is at most 1,
+    so a trusted table's derivations hold their new arrays unchecked and uncopied; others are checked.  The checks
+    also refuse a repeated detector name, a label repeated on one axis and a ``given`` that names no axis.
     """
 
     detectors: tuple[str, ...]
@@ -81,14 +83,21 @@ class ProbabilityTable:
         object.__setattr__(self, "weights", weights)
         if weights.shape != tuple(map(len, self.labels)) or len(self.detectors) != weights.ndim:
             raise DomainError(f"weights of shape {weights.shape} do not fit the labels {self.labels}")
-        low = weights.min(initial=0.0)
-        if not (low >= -TOL_EQUALITY and weights.max(initial=0.0) < math.inf):  # NaN fails both
+        if len(set(self.detectors)) != len(self.detectors):
+            raise DomainError(f"detector names {self.detectors} repeat; a selection could not tell their axes apart")
+        for d, axis in zip(self.detectors, self.labels):
+            if len(set(axis)) != len(axis):
+                raise DomainError(f"labels {axis} of detector {d!r} repeat; a row key could not tell them apart")
+        if extra := set(self.given).difference(self.detectors):
+            raise DomainError(f"given names {sorted(extra)}, no axis of the table over {self.detectors}")
+        low, high = weights.min(initial=0.0), weights.max(initial=0.0)
+        if not (low >= -TOL_EQUALITY and high < math.inf):  # NaN fails both
             bad = ~np.isfinite(weights) | (weights < -TOL_EQUALITY)
             cell = np.unravel_index(bad.argmax(), weights.shape)  # the first in row order
             value, key = float(weights[cell]), tuple(axis[i] for axis, i in zip(self.labels, cell))
             kind = "negative" if math.isfinite(value) else "non-finite"
             raise DomainError(f"{kind} probability {value} for {key}")
-        object.__setattr__(self, "_negative", low < 0)  # so its derived tables are checked too
+        object.__setattr__(self, "_trusted", low >= 0 and high <= 1 + TOL_EQUALITY)  # else its derivations are checked
 
     def value(self, assignment: Mapping[str, str]) -> float:
         self._axes(assignment)
@@ -160,12 +169,12 @@ class ProbabilityTable:
             raise KeyError(f"no detector {extra} in table over {self.detectors}") from None
 
     def _derived(self, detectors, labels, weights, given) -> ProbabilityTable:
-        """A table of cells derived from this one's: unchecked, unless one of this one's is below 0."""
+        """A table of cells derived from this one's: unchecked if this one is trusted, checked otherwise."""
         (weights := np.asarray(weights)).setflags(write=False)  # new, or a view of read-only cells: held as it is
-        if self._negative:
+        if not self._trusted:
             return ProbabilityTable(detectors, labels, weights, given)
         table = object.__new__(ProbabilityTable)
-        table.__dict__.update(detectors=detectors, labels=labels, weights=weights, given=given, _negative=False)
+        table.__dict__.update(detectors=detectors, labels=labels, weights=weights, given=given, _trusted=True)
         return table
 
     @property

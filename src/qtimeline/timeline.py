@@ -59,6 +59,9 @@ class EventSchedule:
     events: tuple[tuple[float, DetectorModel], ...]
 
     def __post_init__(self) -> None:
+        for t, _ in self.events:  # a bool or a str is no time, as the scenario parser rules
+            if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)):
+                raise ScheduleError(f"event time {t!r} is not a real number")
         entries = tuple([(float(t), det) for t, det in self.events])
         object.__setattr__(self, "events", entries)
         times, detectors = tuple(zip(*entries)) or ((), ())

@@ -547,6 +547,27 @@ def test_the_sweep_and_the_cli_make_a_near_unit_pair_unit_alike(tmp_path, capsys
     capsys.readouterr()
 
 
+def test_the_sweep_reproduces_its_golden_and_refuses_a_reading_before_wigner(tmp_path):
+    def sweep(*flags):
+        return subprocess.run([sys.executable, str(SCRIPTS / "wigner_sweep.py"), "--steps", "7", *flags],
+                              capture_output=True, env=child_env())
+
+    # The theta = pi/2 row holds cells that are zero in exact arithmetic and print at rounding level (about 1e-33):
+    # like tests/data/frauchiger_renner.out, this golden assumes the fused multiply-add rounding of the BLAS product.
+    golden = sweep()
+    assert golden.returncode == 0 and golden.stdout == (DATA / "wigner_sweep.csv").read_bytes(), golden.stderr
+    late = sweep("--t=inf")
+    assert late.returncode == 0 and len(late.stdout.splitlines()) == 8, late.stderr
+    for t in ("1.5", "0.5", "-inf"):  # before Wigner's measurement at t_n = 2: refused before any table is built
+        out = tmp_path / f"sweep_{t}.csv"
+        early = sweep(f"--t={t}", "--out", str(out))
+        assert early.returncode == 2 and early.stdout == b"" and not out.exists(), early.stderr
+        message = f"invalid parameters: clock reading t={t} is before Wigner's measurement at t_n=2\n"
+        assert early.stderr.decode() == message
+    nan = sweep("--t", "nan")
+    assert (nan.returncode, nan.stdout, nan.stderr) == (2, b"", b"invalid parameters: clock reading t is NaN\n")
+
+
 def test_package_and_cli_do_not_import_scipy():
     # A fresh interpreter: what other tests imported into this process does not count.
     code = (

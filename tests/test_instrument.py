@@ -132,9 +132,10 @@ LABEL_RULE = "must be non-empty printable text without leading or trailing white
         ("M", "up\n", "r", "outcome label 'up\\n'"),
         ("M", "up", "\xa0", "ready label '\\xa0'"),
         (7, "up", "r", "detector name 7"),
+        ("M", 1, "r", "outcome label 1"),
     ],
     ids=["separators-in-name", "comma-in-outcome", "padded-ready", "empty-ready", "empty-name", "bar-in-name",
-         "at-in-outcome", "newline-in-outcome", "non-printable-ready", "non-string-name"],
+         "at-in-outcome", "newline-in-outcome", "non-printable-ready", "non-string-name", "non-string-outcome"],
 )
 def test_detector_refuses_a_name_or_label_a_query_cannot_carry(name, outcome, ready_label, refused):
     kraus = KrausSet(((outcome, Operator(S, [[1, 0], [0, 0]])), ("down", Operator(S, [[0, 0], [0, 1]]))))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -415,6 +416,20 @@ def test_probability_table_names_the_first_negative_cell():
 def test_probability_table_refuses_weights_that_do_not_fit_its_labels(detectors, labels):
     with pytest.raises(DomainError, match="do not fit"):
         ProbabilityTable(detectors, labels, [[0.25, 0.25], [0.5, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "detectors, labels, given, message",
+    [
+        (("A", "A"), (("x", "y"), ("y",)), (), "detector names ('A', 'A') repeat"),
+        (("A", "B"), (("x", "y"), ("u", "u")), (), "labels ('u', 'u') of detector 'B' repeat"),
+        (("A", "B"), (("x", "y"), ("u", "v")), ("C",), "given names ['C'], no axis of the table over ('A', 'B')"),
+    ],
+    ids=["repeated-detector", "repeated-label", "given-names-no-axis"],
+)
+def test_probability_table_refuses_what_its_readers_cannot_tell_apart(detectors, labels, given, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        ProbabilityTable(detectors, labels, np.full(tuple(map(len, labels)), 0.25), given)
 
 
 def test_twenty_detector_full_table_is_a_view_with_a_small_peak(twenty_detectors):

@@ -1,7 +1,8 @@
 """The table algebra: ``select``, ``marginal`` and ``conditioned`` derive every query's table from a segment's.
 
-Derived tables skip the constructor's cell check only when their parent's cells are all >= 0, so the hand-built
-tables here, with cells the constructor admits just below 0, must end in DomainError, never in a refused cell.
+Derived tables skip the constructor's cell check only when their parent is trusted: its cells lie in
+[0, 1 + TOL_EQUALITY], or it derives from such a table.  So the hand-built tables here, with cells the constructor
+admits just below 0 or far above 1, must end in DomainError, never in a refused or non-finite cell.
 """
 
 import itertools
@@ -84,6 +85,15 @@ def test_a_derivation_of_a_history_table_runs_no_check(monkeypatch):
     first = records.detectors[0]
     records.select({first: records.labels[0][0]}).conditioned((first,), T).marginal(records.detectors[:1])
     assert checks == []
+
+
+def test_a_derivation_of_a_table_with_cells_above_one_is_checked():
+    parent = ProbabilityTable(("A", "B"), (("x", "y"), ("u",)), [[1e308], [1e308]])
+    # The sum overflows, and numpy warns of it before the constructor refuses the inf it leaves.
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DomainError, match=re.escape(
+            "non-finite probability inf for ('u',)")):
+        parent.marginal(("B",))
+    assert parent.select({"A": "y"}).weights.tolist() == [[1e308]]  # admitted again by the constructor
 
 
 def test_a_zero_width_given_axis_conditions_to_an_empty_table():

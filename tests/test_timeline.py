@@ -64,9 +64,19 @@ def test_schedule_requires_strictly_increasing_times():
         EventSchedule(((2.0, det("A")), (1.0, det("B"))))
     with pytest.raises(ScheduleError):
         EventSchedule(((1.0, det("A")), (1.0, det("B"))))
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, True, np.True_, "1.5", 1 + 0j, None):
         with pytest.raises(ScheduleError):
             EventSchedule(((bad, det("A")),))
+
+
+def test_schedule_takes_numpy_times_and_a_wigner_scenario_refuses_a_bool_or_str_time():
+    det = projective_detector
+    times = EventSchedule(((np.int64(1), det("A")), (np.float32(2.5), det("B")))).times
+    assert times == (1.0, 2.5) and all(type(t) is float for t in times)
+    with pytest.raises(ScheduleError, match="^event time True is not a real number$"):
+        WignerScenario(0.6, 0.8, 1, 0, t_m=True, t_n=2)
+    with pytest.raises(ScheduleError, match="^event time '2' is not a real number$"):
+        WignerScenario(0.6, 0.8, 1, 0, t_m=1, t_n="2")
 
 
 def test_empty_schedule_is_pure_free_evolution():
